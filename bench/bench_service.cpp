@@ -120,9 +120,12 @@ std::vector<Event> PlanTraffic(const std::vector<bench::Instance>& instances,
 
 struct BaselineResult {
   double seconds = 0.0;
-  // Cold (encode + solve) cost per route key, for the warm-hit ratio.
-  std::vector<double> cold_seconds;  // indexed like `keys`
+  // First route event, cold (encode + solve) cost and verdict per route
+  // key, for the warm-hit probe; indexed like `keys`.
   std::vector<std::string> keys;
+  std::vector<Event> key_events;
+  std::vector<double> cold_seconds;
+  std::vector<sat::SolveResult> cold_status;
   bool equivalent = true;
   std::string first_mismatch;
 };
@@ -162,7 +165,9 @@ BaselineResult RunBaseline(const std::vector<bench::Instance>& instances,
     const auto it = std::find(out.keys.begin(), out.keys.end(), key);
     if (it == out.keys.end()) {
       out.keys.push_back(key);
+      out.key_events.push_back(e);
       out.cold_seconds.push_back(cold);
+      out.cold_status.push_back(result.status);
     }
     const sat::SolveResult expected = ExpectedVerdict(inst, e.width);
     if (result.status != sat::SolveResult::kUnknown &&
@@ -183,8 +188,6 @@ struct ServiceRunResult {
   double solves_per_sec = 0.0;
   std::uint64_t verdict_lookups = 0;
   std::uint64_t verdict_hits = 0;
-  std::uint64_t instance_hits = 0;
-  std::uint64_t summary_hits = 0;
   std::uint64_t latency_p50_us = 0;
   std::uint64_t latency_p95_us = 0;
   std::uint64_t latency_p99_us = 0;
@@ -288,8 +291,6 @@ ServiceRunResult RunService(const std::vector<bench::Instance>& instances,
   const service::ServiceStats stats = svc.stats();
   out.verdict_lookups = stats.verdicts.lookups;
   out.verdict_hits = stats.verdicts.hits;
-  out.instance_hits = stats.instances.hits;
-  out.summary_hits = stats.summary_hits;
   const obs::MetricsSnapshot snapshot = registry.Snapshot();
   if (const obs::MetricSnapshot* h = snapshot.Find("service.latency_us")) {
     out.latency_p50_us = h->ApproxPercentile(0.50);
@@ -305,62 +306,77 @@ ServiceRunResult RunService(const std::vector<bench::Instance>& instances,
 // Warm-hit cost: the service already holds the verdict for `key`; one more
 // repeat must cost < 5% of the cold (encode + solve) time. Measured on a
 // fresh service warmed with exactly one cold solve so the repeat can only
-// be served by the cache.
+// be served by the cache. The probe takes the slowest key with a definite
+// verdict, which gives the ratio the most headroom to be honest; a key that
+// timed out (kUnknown is never cached) cannot be probed and is listed in
+// `timed_out_keys` instead.
 struct WarmHit {
   std::string key;
   double cold_seconds = 0.0;
   double warm_seconds = 0.0;
   double ratio = 0.0;
+  std::vector<std::string> timed_out_keys;
 };
 
 WarmHit MeasureWarmHit(const std::vector<bench::Instance>& instances,
                        const BaselineResult& baseline, double timeout) {
-  // The slowest cold key gives the ratio the most headroom to be honest.
-  std::size_t slowest = 0;
-  for (std::size_t i = 1; i < baseline.cold_seconds.size(); ++i) {
-    if (baseline.cold_seconds[i] > baseline.cold_seconds[slowest]) {
-      slowest = i;
+  WarmHit out;
+  std::vector<std::size_t> candidates;
+  for (std::size_t i = 0; i < baseline.keys.size(); ++i) {
+    if (baseline.cold_status[i] == sat::SolveResult::kUnknown) {
+      out.timed_out_keys.push_back(baseline.keys[i]);
+    } else {
+      candidates.push_back(i);
     }
   }
-  const std::string key = baseline.keys[slowest];
-  const std::size_t slash = key.rfind("/W");
-  const std::string name = key.substr(0, slash);
-  const int width = std::atoi(key.c_str() + slash + 2);
-  const bench::Instance* inst = nullptr;
-  for (const bench::Instance& candidate : instances) {
-    if (candidate.name == name) inst = &candidate;
+  std::sort(candidates.begin(), candidates.end(),
+            [&baseline](std::size_t a, std::size_t b) {
+              return baseline.cold_seconds[a] > baseline.cold_seconds[b];
+            });
+  for (const std::size_t candidate : candidates) {
+    const Event& e = baseline.key_events[candidate];
+    const bench::Instance& inst =
+        instances[static_cast<std::size_t>(e.instance)];
+    service::ServiceOptions options;
+    options.scheduler.num_workers = 1;
+    options.timeout_seconds = timeout;
+    service::RoutingService svc(options);
+    auto graph = std::make_shared<graph::Graph>(inst.conflict);
+    auto request = [&]() {
+      service::RouteRequest r;
+      r.label = inst.name;
+      r.graph = graph;
+      r.width = e.width;
+      r.encoding = "muldirect";
+      r.symmetry = "none";
+      return r;
+    };
+    out.key = baseline.keys[candidate];
+    Stopwatch cold_watch;
+    const service::Response& cold = svc.Wait(svc.Submit(request()));
+    out.cold_seconds = cold_watch.Seconds();
+    if (cold.status == sat::SolveResult::kUnknown) {
+      // Finished in the baseline but not here: timing noise at the budget.
+      out.timed_out_keys.push_back(out.key);
+      continue;
+    }
+    Stopwatch warm_watch;
+    const service::Response& warm = svc.Wait(svc.Submit(request()));
+    out.warm_seconds = warm_watch.Seconds();
+    if (!warm.verdict_hit) {
+      std::fprintf(stderr, "bench: warm repeat of %s missed the cache\n",
+                   out.key.c_str());
+      std::exit(1);
+    }
+    out.ratio = out.cold_seconds > 0.0 ? out.warm_seconds / out.cold_seconds
+                                       : 0.0;
+    return out;
   }
-
-  service::ServiceOptions options;
-  options.scheduler.num_workers = 1;
-  options.timeout_seconds = timeout;
-  service::RoutingService svc(options);
-  auto graph = std::make_shared<graph::Graph>(inst->conflict);
-  auto request = [&]() {
-    service::RouteRequest r;
-    r.label = inst->name;
-    r.graph = graph;
-    r.width = width;
-    r.encoding = "muldirect";
-    r.symmetry = "none";
-    return r;
-  };
-  WarmHit out;
-  out.key = key;
-  Stopwatch cold_watch;
-  svc.Wait(svc.Submit(request()));
-  out.cold_seconds = cold_watch.Seconds();
-  Stopwatch warm_watch;
-  const service::Response& warm = svc.Wait(svc.Submit(request()));
-  out.warm_seconds = warm_watch.Seconds();
-  if (!warm.verdict_hit) {
-    std::fprintf(stderr, "bench: warm repeat of %s missed the cache\n",
-                 key.c_str());
-    std::exit(1);
-  }
-  out.ratio = out.cold_seconds > 0.0 ? out.warm_seconds / out.cold_seconds
-                                     : 0.0;
-  return out;
+  std::fprintf(stderr,
+               "bench: no route key finished within the %.0fs timeout; "
+               "no warm repeat to measure\n",
+               timeout);
+  std::exit(1);
 }
 
 }  // namespace
@@ -468,6 +484,11 @@ int main(int argc, char** argv) {
   warm_obj.emplace_back("cold_seconds", obs::JsonValue(warm.cold_seconds));
   warm_obj.emplace_back("warm_seconds", obs::JsonValue(warm.warm_seconds));
   warm_obj.emplace_back("ratio", obs::JsonValue(warm.ratio));
+  obs::JsonArray timed_out;
+  for (const std::string& key : warm.timed_out_keys) {
+    timed_out.emplace_back(key);
+  }
+  warm_obj.emplace_back("timed_out_keys", obs::JsonValue(std::move(timed_out)));
   doc.emplace_back("warm_hit", obs::JsonValue(std::move(warm_obj)));
   obs::JsonArray scaling;
   for (const ServiceRunResult& r : runs) {
@@ -477,8 +498,6 @@ int main(int argc, char** argv) {
     o.emplace_back("solves_per_sec", obs::JsonValue(r.solves_per_sec));
     o.emplace_back("verdict_hits", obs::JsonValue(r.verdict_hits));
     o.emplace_back("verdict_lookups", obs::JsonValue(r.verdict_lookups));
-    o.emplace_back("instance_hits", obs::JsonValue(r.instance_hits));
-    o.emplace_back("summary_hits", obs::JsonValue(r.summary_hits));
     o.emplace_back("latency_p50_us", obs::JsonValue(r.latency_p50_us));
     o.emplace_back("latency_p95_us", obs::JsonValue(r.latency_p95_us));
     o.emplace_back("latency_p99_us", obs::JsonValue(r.latency_p99_us));

@@ -52,14 +52,6 @@ struct DetailedRouteOptions {
   /// circuit / .col file / CNF name this solve belongs to. Purely
   /// descriptive; empty is fine (records then say "graph").
   std::string run_label;
-  /// Reuse a previously materialized encoding instead of re-encoding: the
-  /// solver loads `reuse_encoding->cnf` and decoding uses its layout. The
-  /// caller guarantees it was produced from THIS conflict graph at this
-  /// width with this encoding + symmetry heuristic (the service's instance
-  /// cache keys on exactly that tuple). Ignored when selfcheck or
-  /// verify_unsat_proof is set — those must see a freshly materialized
-  /// formula tied to a symmetry sequence computed here.
-  const encode::EncodedColoring* reuse_encoding = nullptr;
   /// Chain a SimplifyingSink in front of the solver on the streaming path:
   /// unit-propagation/duplicate/tautology filtering happens clause by
   /// clause before the solver sees the stream. Elimination counts land in
@@ -93,9 +85,6 @@ struct DetailedRouteResult {
   /// default); false when a Cnf was materialized because selfcheck or
   /// verify_unsat_proof needed it.
   bool streamed_encode = false;
-  /// True when the CNF was loaded from options.reuse_encoding rather than
-  /// encoded here (encode_seconds is then pure clause-load time).
-  bool reused_encoding = false;
   /// Per-category clause counts of the encoding (and, with inline_simplify,
   /// the simplifier's elimination counts).
   encode::ColoringCnfStats encode_stats;

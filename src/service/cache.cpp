@@ -18,7 +18,7 @@ std::uint64_t FingerprintGraph(const graph::Graph& g) {
     mix(static_cast<std::uint64_t>(u) << 32 | static_cast<std::uint32_t>(v));
   }
   // Avalanche so near-identical graphs (one edge apart) spread across
-  // shards and summary slots.
+  // shards.
   h ^= h >> 33;
   h *= 0xc4ceb9fe1a85ec53ULL;
   h ^= h >> 33;

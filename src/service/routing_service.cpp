@@ -49,15 +49,11 @@ constexpr auto kSettleNap = std::chrono::microseconds(100);
 RoutingService::RoutingService(const ServiceOptions& options)
     : options_(options),
       verdicts_(options.verdict_cache),
-      instances_(options.instance_cache),
-      summaries_(options.summary_slots),
       scheduler_(options.scheduler) {
   obs::MetricsRegistry& m = metrics();
   id_requests_ = m.Counter("service.requests");
   id_session_ops_ = m.Counter("service.session_ops");
-  id_summary_hits_ = m.Counter("service.summary_hits");
   id_verdict_hits_ = m.Counter("service.verdict_hits");
-  id_instance_hits_ = m.Counter("service.instance_hits");
   id_latency_us_ = m.Histogram("service.latency_us");
   id_queue_us_ = m.Histogram("service.queue_us");
   id_solve_us_ = m.Histogram("service.solve_us");
@@ -233,57 +229,12 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
     const CacheKey verdict_key{request.fingerprint, request.width,
                                request.encoding, request.symmetry,
                                request.solver};
-    const std::uint64_t verdict_hash = verdict_key.Hash();
-    if (options_.cache_verdicts) {
-      // Fast path: the lock-free summary fully answers UNSAT repeats (no
-      // tracks to fetch). 64-bit hash match stands in for key equality —
-      // the same tradeoff the summary-table collision policy documents.
-      VerdictSummary summary;
-      if (summaries_.Probe(verdict_hash, &summary) &&
-          static_cast<sat::SolveResult>(summary.status) ==
-              sat::SolveResult::kUnsat) {
-        r.status = sat::SolveResult::kUnsat;
-        r.summary_hit = true;
-        r.verdict_hit = true;
-        stat_summary_hits_.fetch_add(1, std::memory_order_relaxed);
-        m.Add(id_summary_hits_);
-        break;
-      }
-      if (const auto verdict = verdicts_.Lookup(verdict_key)) {
-        r.status = verdict->status;
-        r.tracks = verdict->tracks;
-        r.verdict_hit = true;
-        m.Add(id_verdict_hits_);
-        break;
-      }
-    }
-
-    const CacheKey instance_key{request.fingerprint, request.width,
-                                request.encoding, request.symmetry,
-                                /*solver=*/""};
-    std::shared_ptr<const encode::EncodedColoring> instance;
-    if (options_.cache_instances) {
-      instance = instances_.Lookup(instance_key);
-    }
-    if (instance != nullptr) {
-      r.instance_hit = true;
-      m.Add(id_instance_hits_);
-    } else if (options_.cache_instances) {
-      // Cold encode, materialized once so the next miss on this instance
-      // (any solver preset, e.g. a timeout retry) skips it.
-      Stopwatch encode_watch;
-      const std::vector<graph::VertexId> sequence =
-          symmetry::SymmetrySequence(*request.graph, request.width,
-                                     heuristic);
-      auto fresh = std::make_shared<encode::EncodedColoring>(
-          encode::EncodeColoring(*request.graph, request.width, *spec,
-                                 sequence));
-      r.encode_seconds = encode_watch.Seconds();
-      const std::size_t bytes =
-          fresh->cnf.ApproxHeapBytes() +
-          fresh->vertex_offset.size() * sizeof(int) + sizeof(*fresh);
-      instances_.Insert(instance_key, fresh, bytes);
-      instance = std::move(fresh);
+    if (const auto verdict = verdicts_.Lookup(verdict_key)) {
+      r.status = verdict->status;
+      r.tracks = verdict->tracks;
+      r.verdict_hit = true;
+      m.Add(id_verdict_hits_);
+      break;
     }
 
     flow::DetailedRouteOptions route_options;
@@ -295,34 +246,29 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
                                         : options_.timeout_seconds;
     route_options.stop = &cancel;
     route_options.run_label = request.label;
-    if (instance != nullptr) route_options.reuse_encoding = instance.get();
     const flow::DetailedRouteResult result =
         flow::RouteDetailedOnGraph(*request.graph, request.width,
                                    route_options);
     r.status = result.status;
     r.tracks = result.tracks;
     r.solve_seconds = result.solve_seconds;
-    r.encode_seconds += result.encode_seconds;
+    r.encode_seconds = result.encode_seconds;
     r.cancelled = result.status == sat::SolveResult::kUnknown &&
                   cancel.load(std::memory_order_relaxed);
     m.Observe(id_solve_us_, Micros(result.solve_seconds));
 
     // kUnknown (timeout / cancel) is a fact about the budget, not the
     // instance — never cache it.
-    if (options_.cache_verdicts &&
-        result.status != sat::SolveResult::kUnknown) {
+    if (result.status != sat::SolveResult::kUnknown) {
       auto entry = std::make_shared<VerdictEntry>();
       entry->status = result.status;
       entry->tracks = result.tracks;
       entry->cold_solve_seconds = result.solve_seconds;
-      entry->cold_encode_seconds = r.encode_seconds;
+      entry->cold_encode_seconds = result.encode_seconds;
       entry->graph = request.graph;
       const std::size_t bytes =
           sizeof(VerdictEntry) + entry->tracks.size() * sizeof(int);
       verdicts_.Insert(verdict_key, entry, bytes);
-      summaries_.Publish(VerdictSummary{
-          verdict_hash, static_cast<std::int32_t>(result.status),
-          request.width, result.solve_seconds});
     }
   } while (false);
   if (ClaimSettle(pending)) PublishSettle(pending);
@@ -521,9 +467,7 @@ ServiceStats RoutingService::stats() const {
   ServiceStats stats;
   stats.scheduler = scheduler_.stats();
   stats.verdicts = verdicts_.stats();
-  stats.instances = instances_.stats();
   stats.requests = stat_requests_.load(std::memory_order_relaxed);
-  stats.summary_hits = stat_summary_hits_.load(std::memory_order_relaxed);
   stats.session_ops = stat_session_ops_.load(std::memory_order_relaxed);
   {
     mc::MutexLock lock(sessions_mutex_);

@@ -1,21 +1,19 @@
 // The long-lived routing service (DESIGN.md §15): batched asynchronous
-// routing queries over a worker pool, answered through a two-tier cache,
+// routing queries over a worker pool, answered through a verdict cache,
 // with per-client incremental sessions.
 //
-// Request path, in decreasing order of cheapness:
+// Request path:
 //
-//   1. Seqlock summary probe (lock-free) — answers repeat UNSAT queries.
-//   2. Verdict-cache hit (one shard mutex) — answers any repeat query.
-//   3. Instance-cache hit — skips symmetry + encode; the cached CNF loads
-//      into a fresh solver via DetailedRouteOptions::reuse_encoding.
-//   4. Full miss — encode once (materialized into the instance cache),
-//      solve, publish the verdict to both the locked tier and the summary
-//      table.
+//   1. Verdict-cache hit (one shard mutex, full-key compare) — answers any
+//      repeat of (graph, W, encoding, symmetry, solver preset).
+//   2. Miss — flow::RouteDetailedOnGraph streams the encoding into a fresh
+//      solver (no CNF is materialized), solves, and a definite verdict is
+//      inserted into the cache.
 //
-// Every solve, hit or miss, goes through flow::RouteDetailedOnGraph, so
-// the service inherits the flow's telemetry (trace spans, run records,
-// flow.solves) and its timeout/stop handling; the scheduler's per-job
-// cancel atomic IS the solver stop flag.
+// Every solve goes through flow::RouteDetailedOnGraph, so the service
+// inherits the flow's telemetry (trace spans, run records, flow.solves)
+// and its timeout/stop handling; the scheduler's per-job cancel atomic IS
+// the solver stop flag.
 //
 // Sessions: a client that opens a session gets a resident
 // flow::RoutingSession pinned to worker hash(client) % workers. Session
@@ -52,12 +50,6 @@ struct ServiceOptions {
   CacheTierOptions verdict_cache{/*num_shards=*/8,
                                  /*max_entries_per_shard=*/256,
                                  /*max_bytes_per_shard=*/8u << 20};
-  CacheTierOptions instance_cache{/*num_shards=*/8,
-                                  /*max_entries_per_shard=*/32,
-                                  /*max_bytes_per_shard=*/64u << 20};
-  std::size_t summary_slots = 1024;
-  bool cache_verdicts = true;
-  bool cache_instances = true;
   /// Per-request wall-clock budget (overridable per request); <= 0 means
   /// unlimited.
   double timeout_seconds = 0.0;
@@ -95,9 +87,7 @@ struct Response {
   double encode_seconds = 0.0;
   /// Session delta ops: emission/apply cost inside the resident solver.
   double apply_seconds = 0.0;
-  bool summary_hit = false;   // answered by the lock-free seqlock front
-  bool verdict_hit = false;   // answered by the verdict tier (incl. summary)
-  bool instance_hit = false;  // encode skipped via the instance tier
+  bool verdict_hit = false;  // answered by the verdict cache
   bool cancelled = false;
   bool ok = true;             // false: malformed request / session error
   std::string error;
@@ -106,9 +96,10 @@ struct Response {
 struct ServiceStats {
   SchedulerStats scheduler;
   CacheTierStats verdicts;
+  /// Always empty: the service no longer has an instance tier (encoded-CNF
+  /// cache). Kept only because perfbench/src/service_load.cpp reads it.
   CacheTierStats instances;
   std::uint64_t requests = 0;
-  std::uint64_t summary_hits = 0;
   std::uint64_t session_ops = 0;
   std::uint64_t sessions_open = 0;
 };
@@ -228,8 +219,6 @@ class RoutingService {
 
   const ServiceOptions options_;
   ShardedLruCache<VerdictEntry> verdicts_;
-  ShardedLruCache<encode::EncodedColoring> instances_;
-  VerdictSummaryTable summaries_;
 
   mutable mc::Mutex pending_mutex_;
   // deque: append-only; workers hold Pending* across later submissions.
@@ -240,15 +229,12 @@ class RoutingService {
       SATFR_GUARDED_BY(sessions_mutex_);
 
   mc::Atomic<std::uint64_t> stat_requests_{0};
-  mc::Atomic<std::uint64_t> stat_summary_hits_{0};
   mc::Atomic<std::uint64_t> stat_session_ops_{0};
 
   // Resolved once against metrics() (service.* namespace); latencies in µs.
   obs::MetricId id_requests_;
   obs::MetricId id_session_ops_;
-  obs::MetricId id_summary_hits_;
   obs::MetricId id_verdict_hits_;
-  obs::MetricId id_instance_hits_;
   obs::MetricId id_latency_us_;
   obs::MetricId id_queue_us_;
   obs::MetricId id_solve_us_;

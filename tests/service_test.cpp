@@ -1,6 +1,6 @@
-// Functional tests for src/service: the cache tiers and their keys, the
+// Functional tests for src/service: the verdict cache and its keys, the
 // job scheduler, the routing service end-to-end (verdict equivalence with
-// the direct flow, all three hit paths, kUnknown never cached), per-client
+// the direct flow, verdict hits, kUnknown never cached), per-client
 // sessions, and the service-cache-coherence satlint pass.
 
 #include <gtest/gtest.h>
@@ -77,7 +77,7 @@ TEST(CacheKey, HashAndEqualitySeparateEveryField) {
   EXPECT_NE(base.Hash(), other.Hash());
 
   other = base;
-  other.solver.clear();  // the instance-tier spelling of the same instance
+  other.solver.clear();  // an empty preset is a key of its own
   EXPECT_NE(base.Hash(), other.Hash());
 }
 
@@ -87,58 +87,6 @@ TEST(CacheKey, ToStringNamesTheInstance) {
   EXPECT_NE(s.find("W7"), std::string::npos) << s;
   EXPECT_NE(s.find("muldirect"), std::string::npos) << s;
   EXPECT_NE(s.find("siege"), std::string::npos) << s;
-}
-
-// --- seqlock slot and summary table ---------------------------------------
-
-TEST(SeqlockedSlot, NeverPublishedReadsFalse) {
-  SeqlockedSlot<VerdictSummary> slot;
-  VerdictSummary out;
-  EXPECT_FALSE(slot.TryRead(&out));
-}
-
-TEST(SeqlockedSlot, RoundTripsAndOverwrites) {
-  SeqlockedSlot<VerdictSummary> slot;
-  VerdictSummary in;
-  in.key_hash = 42;
-  in.status = 2;
-  in.width = 9;
-  in.cold_solve_seconds = 1.5;
-  slot.Publish(in);
-  VerdictSummary out;
-  ASSERT_TRUE(slot.TryRead(&out));
-  EXPECT_EQ(out.key_hash, 42u);
-  EXPECT_EQ(out.status, 2);
-  EXPECT_EQ(out.width, 9);
-  EXPECT_DOUBLE_EQ(out.cold_solve_seconds, 1.5);
-
-  in.key_hash = 43;
-  in.width = 11;
-  slot.Publish(in);
-  ASSERT_TRUE(slot.TryRead(&out));
-  EXPECT_EQ(out.key_hash, 43u);
-  EXPECT_EQ(out.width, 11);
-}
-
-TEST(VerdictSummaryTable, ProbeMatchesOnlyItsKeyHash) {
-  VerdictSummaryTable table(/*slots=*/4);
-  EXPECT_EQ(table.num_slots(), 4u);
-  VerdictSummary out;
-  EXPECT_FALSE(table.Probe(21, &out));
-
-  VerdictSummary in;
-  in.key_hash = 21;
-  in.status = 1;
-  table.Publish(in);
-  ASSERT_TRUE(table.Probe(21, &out));
-  EXPECT_EQ(out.key_hash, 21u);
-
-  // Same slot (21 % 4 == 25 % 4), different key: the hash check rejects.
-  EXPECT_FALSE(table.Probe(25, &out));
-  in.key_hash = 25;
-  table.Publish(in);
-  EXPECT_TRUE(table.Probe(25, &out));
-  EXPECT_FALSE(table.Probe(21, &out));  // overwritten by the collision
 }
 
 // --- sharded LRU -----------------------------------------------------------
@@ -256,12 +204,17 @@ TEST(JobScheduler, HigherPriorityRunsFirstOnOneWorker) {
   JobScheduler scheduler(options);
 
   // Hold the single worker on a blocker so the next three jobs are drained
-  // from the inbox together, then released in priority order.
+  // from the inbox together, then released in priority order. The worker
+  // must be inside the blocker before they arrive; otherwise it can drain
+  // the blocker and the first of them in one batch.
+  std::atomic<bool> started{false};
   std::atomic<bool> release{false};
   const auto blocker =
-      scheduler.Submit([&release](const mc::Atomic<bool>&) {
+      scheduler.Submit([&started, &release](const mc::Atomic<bool>&) {
+        started.store(true);
         while (!release.load()) std::this_thread::yield();
       });
+  while (!started.load()) std::this_thread::yield();
   std::mutex order_mutex;
   std::vector<int> order;
   auto record = [&](int tag) {
@@ -363,7 +316,7 @@ TEST(RoutingService, MatchesDirectFlowOnBothVerdicts) {
   EXPECT_TRUE(r2.tracks.empty());
 }
 
-TEST(RoutingService, RepeatQueriesHitTheVerdictTiers) {
+TEST(RoutingService, RepeatQueriesHitTheVerdictCache) {
   ServiceOptions options;
   options.scheduler.num_workers = 1;
   RoutingService svc(options);
@@ -372,40 +325,46 @@ TEST(RoutingService, RepeatQueriesHitTheVerdictTiers) {
   const Response& cold = svc.Wait(svc.Submit(TriangleRequest(g, 2)));
   ASSERT_EQ(cold.status, sat::SolveResult::kUnsat);
   EXPECT_FALSE(cold.verdict_hit);
+  EXPECT_GT(cold.encode_seconds, 0.0);
 
-  // UNSAT repeat: served by the lock-free summary front.
   const Response& warm = svc.Wait(svc.Submit(TriangleRequest(g, 2)));
-  EXPECT_EQ(warm.status, sat::SolveResult::kUnsat);
   EXPECT_TRUE(warm.verdict_hit);
-  EXPECT_TRUE(warm.summary_hit);
+  EXPECT_EQ(warm.status, cold.status);
+  EXPECT_EQ(warm.tracks, cold.tracks);
+  EXPECT_EQ(warm.encode_seconds, 0.0);
 
-  // SAT repeat: tracks live only in the locked tier.
-  svc.Wait(svc.Submit(TriangleRequest(g, 3)));
+  const Response& cold_sat = svc.Wait(svc.Submit(TriangleRequest(g, 3)));
+  ASSERT_EQ(cold_sat.status, sat::SolveResult::kSat);
+  EXPECT_FALSE(cold_sat.verdict_hit);
   const Response& warm_sat = svc.Wait(svc.Submit(TriangleRequest(g, 3)));
-  EXPECT_EQ(warm_sat.status, sat::SolveResult::kSat);
   EXPECT_TRUE(warm_sat.verdict_hit);
-  EXPECT_FALSE(warm_sat.summary_hit);
-  EXPECT_FALSE(warm_sat.tracks.empty());
+  EXPECT_EQ(warm_sat.status, sat::SolveResult::kSat);
+  EXPECT_EQ(warm_sat.tracks, cold_sat.tracks);
+  EXPECT_TRUE(g->IsProperColoring(warm_sat.tracks));
 
   const ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.requests, 4u);
-  EXPECT_GE(stats.verdicts.hits + stats.summary_hits, 2u);
+  EXPECT_EQ(stats.verdicts.hits, 2u);
+  EXPECT_EQ(stats.verdicts.entries, 2u);
 }
 
-TEST(RoutingService, SolverPresetChangesVerdictKeyButSharesInstance) {
+TEST(RoutingService, OtherSolverPresetMissesAndEncodesAgain) {
   ServiceOptions options;
   options.scheduler.num_workers = 1;
   RoutingService svc(options);
   const auto g = std::make_shared<const graph::Graph>(TriangleLadder());
 
-  svc.Wait(svc.Submit(TriangleRequest(g, 3)));  // cold: fills both tiers
-  RouteRequest other = TriangleRequest(g, 3);
-  other.solver = "minisat";
-  const Response& r = svc.Wait(svc.Submit(other));
-  EXPECT_EQ(r.status, sat::SolveResult::kSat);
-  EXPECT_FALSE(r.verdict_hit);   // different verdict key
-  EXPECT_TRUE(r.instance_hit);   // same encoded CNF
-  EXPECT_EQ(svc.stats().instances.entries, 1u);
+  for (const int width : {2, 3}) {
+    const Response& siege = svc.Wait(svc.Submit(TriangleRequest(g, width)));
+    RouteRequest other = TriangleRequest(g, width);
+    other.solver = "minisat";
+    const Response& minisat = svc.Wait(svc.Submit(std::move(other)));
+    EXPECT_FALSE(minisat.verdict_hit) << "W=" << width;
+    EXPECT_GT(minisat.encode_seconds, 0.0) << "W=" << width;
+    EXPECT_EQ(minisat.status, siege.status) << "W=" << width;
+  }
+  EXPECT_EQ(svc.stats().verdicts.hits, 0u);
+  EXPECT_EQ(svc.stats().verdicts.entries, 4u);
 }
 
 TEST(RoutingService, MalformedRequestsSettleAsErrors) {

@@ -57,7 +57,9 @@
 //                       k=v tokens: prio=N (scheduler priority), enc=NAME,
 //                       sym=b1|s1|none, solver=siege|minisat
 //   session <client> <benchmark> [maxwidth]  open an incremental session
-//                       for <client> (encoded once, pinned to one worker)
+//                       for <client> (encoded once, pinned to one worker);
+//                       maxwidth defaults to --width, else the peak
+//                       congestion, raised to the DSATUR width so W* fits
 //   ripup <client> <net>                rip up net in the client's session
 //   reroute <client> <net> [p1 p2...]   re-route net against partners
 //   solve <client> [width]              solve the client's session state
@@ -65,7 +67,7 @@
 //                                       so far and print the results
 // Routing queries are submitted asynchronously — everything between two
 // `wait` lines runs as one batch on the worker pool. The run ends with a
-// throughput/latency summary and the cache hit counters.
+// throughput/latency summary and the verdict-cache counters.
 //
 // Telemetry (all commands; each is independent and off by default):
 //   --trace-out FILE  write a Chrome trace_event JSON timeline (open in
@@ -658,6 +660,17 @@ double Percentile(std::vector<double> samples, double p) {
   return samples[std::min(rank, samples.size() - 1)];
 }
 
+// The widest a session encodes: `requested` (peak congestion when <= 0),
+// raised to the DSATUR coloring's width so that W* is always in range.
+// `replay` and `serve` both size their sessions here.
+int SessionMaxWidth(const graph::Graph& conflict, int peak, int requested) {
+  const std::vector<int> dsatur = graph::DsaturColoring(conflict);
+  const int dsatur_width =
+      dsatur.empty() ? 1
+                     : *std::max_element(dsatur.begin(), dsatur.end()) + 1;
+  return std::max(dsatur_width, requested > 0 ? requested : peak);
+}
+
 // Drives a RoutingSession from a trace file: `ripup N`, `reroute N p...`,
 // `solve [W]`, `#` comments. The whole run uses one resident solver — the
 // closing summary proves it (full encodes stays 1, extractions stay 0) and
@@ -672,12 +685,9 @@ int CmdReplay(const CliOptions& opts) {
     return 2;
   }
   const LoadedBenchmark loaded = LoadBenchmark(name);
-  const std::vector<int> dsatur = graph::DsaturColoring(loaded.conflict);
-  const int dsatur_width =
-      dsatur.empty() ? 1
-                     : *std::max_element(dsatur.begin(), dsatur.end()) + 1;
   const int default_width = opts.width > 0 ? opts.width : loaded.peak;
-  const int max_width = std::max(dsatur_width, default_width);
+  const int max_width =
+      SessionMaxWidth(loaded.conflict, loaded.peak, default_width);
 
   flow::RoutingSessionOptions session_options;
   session_options.encoding = encode::GetEncoding(opts.encoding);
@@ -784,7 +794,7 @@ int CmdServe(const CliOptions& opts) {
               trace_path.c_str());
 
   // Benchmarks load lazily, once, and their conflict graphs are shared
-  // (the service keys its caches on the graph fingerprint, not identity).
+  // (the service keys its cache on the graph fingerprint, not identity).
   std::unordered_map<std::string, std::shared_ptr<const graph::Graph>> graphs;
   std::unordered_map<std::string, int> peaks;
   auto graph_for = [&](const std::string& name)
@@ -817,11 +827,9 @@ int CmdServe(const CliOptions& opts) {
       }
       if (r.kind == service::RequestKind::kRoute) {
         route_latency.push_back(r.latency_seconds);
-        std::printf("%s: %s in %.0fus%s%s%s%s\n", out.what.c_str(),
+        std::printf("%s: %s in %.0fus%s%s\n", out.what.c_str(),
                     sat::ToString(r.status), r.latency_seconds * 1e6,
-                    r.summary_hit ? " [summary]" : "",
-                    r.verdict_hit && !r.summary_hit ? " [verdict]" : "",
-                    r.instance_hit ? " [instance]" : "",
+                    r.verdict_hit ? " [verdict]" : "",
                     r.cancelled ? " [cancelled]" : "");
       } else {
         std::printf("%s: %s%.0fus\n", out.what.c_str(),
@@ -892,8 +900,9 @@ int CmdServe(const CliOptions& opts) {
         return trace_error("session needs '<client> <benchmark>'");
       }
       const std::shared_ptr<const graph::Graph> g = graph_for(bench);
-      int max_width = 0;
-      if (!(in >> max_width)) max_width = peaks[bench] + 1;
+      int requested = opts.width;
+      in >> requested;  // optional; keeps --width (or the peak) when absent
+      const int max_width = SessionMaxWidth(*g, peaks[bench], requested);
       std::string error;
       if (!svc.OpenSession(client, g, max_width, "muldirect", "none",
                            &error)) {
@@ -952,16 +961,10 @@ int CmdServe(const CliOptions& opts) {
                 Percentile(route_latency, 0.95) * 1e6,
                 Percentile(route_latency, 0.99) * 1e6);
   }
-  std::printf("verdict cache: %llu/%llu hit(s) (+%llu lock-free summary), "
-              "%llu resident; instance cache: %llu/%llu hit(s), %llu "
-              "resident\n",
+  std::printf("verdict cache: %llu/%llu hit(s), %llu resident\n",
               static_cast<unsigned long long>(stats.verdicts.hits),
               static_cast<unsigned long long>(stats.verdicts.lookups),
-              static_cast<unsigned long long>(stats.summary_hits),
-              static_cast<unsigned long long>(stats.verdicts.entries),
-              static_cast<unsigned long long>(stats.instances.hits),
-              static_cast<unsigned long long>(stats.instances.lookups),
-              static_cast<unsigned long long>(stats.instances.entries));
+              static_cast<unsigned long long>(stats.verdicts.entries));
 
   if (opts.selfcheck) {
     const std::vector<analysis::CoherenceSample> samples =
