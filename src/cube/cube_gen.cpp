@@ -15,12 +15,12 @@ struct Leaf {
 }  // namespace
 
 CubeSet GenerateCubes(const graph::Graph& g,
-                      const encode::DomainEncoding& domain, int branch_colors,
+                      const encode::DomainEncoding& domain,
                       const std::vector<graph::VertexId>& symmetry_sequence,
                       const CubeGenOptions& options) {
   CubeSet out;
   const int n = g.num_vertices();
-  const int colors = std::min(branch_colors, domain.domain_size);
+  const int colors = domain.domain_size;
 
   // Branch order: the symmetry sequence first (smallest domains, so the
   // early tree levels stay narrow and balanced), then every remaining

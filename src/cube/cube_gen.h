@@ -64,13 +64,11 @@ struct CubeSet {
 };
 
 /// Builds cubes for the K-coloring of `g` encoded with `domain`, where K =
-/// `branch_colors` is the number of colors a vertex may take (<=
-/// domain.domain_size; smaller when a guard ladder restricts the encoded
-/// K_max-domain formula to width W — see flow/incremental_min_width).
+/// domain.domain_size is the number of colors a vertex may take.
 /// `symmetry_sequence` must be the exact sequence the formula was encoded
 /// with (its restriction clauses are what make symmetry pruning sound).
 CubeSet GenerateCubes(const graph::Graph& g,
-                      const encode::DomainEncoding& domain, int branch_colors,
+                      const encode::DomainEncoding& domain,
                       const std::vector<graph::VertexId>& symmetry_sequence,
                       const CubeGenOptions& options = {});
 

@@ -52,8 +52,7 @@ CubeWorkerPool::CubeWorkerPool(
 CubeWorkerPool::~CubeWorkerPool() = default;
 
 CubeWorkerPool::BatchResult CubeWorkerPool::SolveBatch(
-    const std::vector<std::vector<sat::Lit>>& cubes,
-    const std::vector<sat::Lit>& base_assumptions, Deadline deadline,
+    const std::vector<std::vector<sat::Lit>>& cubes, Deadline deadline,
     const mc::Atomic<bool>* external_stop) {
   BatchResult out;
   if (!ok_) {
@@ -147,7 +146,6 @@ CubeWorkerPool::BatchResult CubeWorkerPool::SolveBatch(
       observer.emplace(trace, tid);
       solver.SetObserver(&*observer);
     }
-    std::vector<sat::Lit> assumptions;
     std::int64_t idx = 0;
     while (!pool_stop.load(std::memory_order_relaxed)) {
       if (external_stop != nullptr &&
@@ -156,17 +154,15 @@ CubeWorkerPool::BatchResult CubeWorkerPool::SolveBatch(
         break;
       }
       if (!take_work(w, &idx, tid)) break;
-      assumptions = base_assumptions;
       const std::vector<sat::Lit>& cube =
           cubes[static_cast<std::size_t>(idx)];
-      assumptions.insert(assumptions.end(), cube.begin(), cube.end());
       std::optional<obs::TraceSpan> cube_span;
       if (trace != nullptr) {
         cube_span.emplace(trace, "cube " + std::to_string(idx), "cube", tid);
       }
       Stopwatch busy_watch;
       const sat::SolveResult status =
-          solver.SolveWithAssumptions(assumptions, deadline, &pool_stop);
+          solver.SolveWithAssumptions(cube, deadline, &pool_stop);
       load.busy_seconds += busy_watch.Seconds();
       ++load.cubes;
       if (cube_span.has_value()) {
@@ -312,8 +308,7 @@ CubeSolveResult SolveColoringWithCubes(const graph::Graph& g, int num_colors,
   };
   CubeWorkerPool pool(options.solver, options.pool, key, setup);
 
-  const CubeSet cube_set =
-      GenerateCubes(g, domain, num_colors, sequence, options.gen);
+  const CubeSet cube_set = GenerateCubes(g, domain, sequence, options.gen);
   result.num_cubes = cube_set.cubes.size();
   result.pruned_conflict = cube_set.pruned_conflict;
   result.pruned_symmetry = cube_set.pruned_symmetry;
@@ -327,7 +322,7 @@ CubeSolveResult SolveColoringWithCubes(const graph::Graph& g, int num_colors,
   // which only cover the batch.
   const sat::SolverStats pre_batch = pool.MergedStats();
   CubeWorkerPool::BatchResult batch =
-      pool.SolveBatch(cube_set.cubes, {}, deadline, options.stop);
+      pool.SolveBatch(cube_set.cubes, deadline, options.stop);
 
   result.status = batch.status;
   result.winning_cube = batch.winning_cube;

@@ -118,11 +118,10 @@ class CubeWorkerPool {
     sat::SolverStats observed;
   };
 
-  /// Solves every cube (assumptions = base_assumptions + cube) and
-  /// aggregates the verdict. Solver state persists into the next batch.
+  /// Solves every cube (its literals are the assumptions) and aggregates
+  /// the verdict. Solver state persists into the next batch.
   /// `external_stop`, when non-null, cancels the batch (status kUnknown).
   BatchResult SolveBatch(const std::vector<std::vector<sat::Lit>>& cubes,
-                         const std::vector<sat::Lit>& base_assumptions,
                          Deadline deadline = Deadline(),
                          const mc::Atomic<bool>* external_stop = nullptr);
 

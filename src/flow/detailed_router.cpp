@@ -27,10 +27,8 @@ const char* RunLabel(const DetailedRouteOptions& options) {
 DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
                                  int num_tracks,
                                  const DetailedRouteOptions& options,
-                                 double coloring_seconds,
                                  const route::GlobalRouting* routing) {
   DetailedRouteResult result;
-  result.coloring_seconds = coloring_seconds;
   result.conflict_vertices = conflict_graph.num_vertices();
   result.conflict_edges = conflict_graph.num_edges();
 
@@ -151,7 +149,6 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
     record.symmetry = symmetry::ToString(options.heuristic);
     record.width = num_tracks;
     record.verdict = sat::ToString(result.status);
-    record.coloring_seconds = result.coloring_seconds;
     record.encode_seconds = result.encode_seconds;
     record.solve_seconds = result.solve_seconds;
     record.total_seconds = result.TotalSeconds();
@@ -192,12 +189,9 @@ DetailedRouteResult RouteDetailed(const fpga::Arch& arch,
                                   const route::GlobalRouting& routing,
                                   int num_tracks,
                                   const DetailedRouteOptions& options) {
-  Stopwatch coloring_watch;
   const graph::Graph conflict_graph = BuildConflictGraph(arch, routing);
-  const double coloring_seconds = coloring_watch.Seconds();
-  DetailedRouteResult result = SolveOnGraph(conflict_graph, num_tracks,
-                                            options, coloring_seconds,
-                                            &routing);
+  DetailedRouteResult result =
+      SolveOnGraph(conflict_graph, num_tracks, options, &routing);
 #ifndef NDEBUG
   if (result.status == sat::SolveResult::kSat) {
     std::string error;
@@ -213,7 +207,7 @@ DetailedRouteResult RouteDetailedOnGraph(
     const graph::Graph& conflict_graph, int num_tracks,
     const DetailedRouteOptions& options) {
   return SolveOnGraph(conflict_graph, num_tracks, options,
-                      /*coloring_seconds=*/0.0, /*routing=*/nullptr);
+                      /*routing=*/nullptr);
 }
 
 }  // namespace satfr::flow

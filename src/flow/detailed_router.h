@@ -67,12 +67,9 @@ struct DetailedRouteResult {
   std::vector<int> tracks;
 
   // Time breakdown, in seconds (paper Table 2 reports their sum).
-  double coloring_seconds = 0.0;
   double encode_seconds = 0.0;
   double solve_seconds = 0.0;
-  double TotalSeconds() const {
-    return coloring_seconds + encode_seconds + solve_seconds;
-  }
+  double TotalSeconds() const { return encode_seconds + solve_seconds; }
 
   // Instance sizes.
   int conflict_vertices = 0;

@@ -13,8 +13,7 @@ namespace {
 
 // One width solved by a cube worker pool, adapted to the scratch search's
 // per-width result shape. A fresh pool per width mirrors the scratch
-// semantics (the incremental sweep is the one that keeps solvers resident
-// across widths).
+// semantics: every width is encoded and solved from nothing.
 DetailedRouteResult RouteWidthWithCubes(const graph::Graph& conflict_graph,
                                         int width,
                                         const MinWidthOptions& options) {

@@ -84,10 +84,10 @@ RoutingSession::RoutingSession(const graph::Graph& conflict_graph,
         static_cast<int>(j) + 1;
   }
 
-  // Width guard ladder (see incremental_min_width): g_W forbids track W
-  // everywhere and implies g_{W+1}; assuming g_W caps the usable tracks at
-  // W. Emitted outside every group — the ladder is graph-independent, so no
-  // delta ever touches it.
+  // Width guard ladder: g_W forbids track W everywhere and implies
+  // g_{W+1}; assuming g_W caps the usable tracks at W. Emitted outside
+  // every group — the ladder is graph-independent, so no delta ever
+  // touches it.
   guard_.assign(static_cast<std::size_t>(max_width_), -1);
   for (int w = 1; w < max_width_; ++w) {
     guard_[static_cast<std::size_t>(w)] = grouped_->EmitVar();

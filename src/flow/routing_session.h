@@ -2,10 +2,12 @@
 // then absorb net-level rip-up/re-route deltas by flipping assumptions on a
 // resident solver.
 //
-// The paper's flow re-extracts the conflict graph and re-encodes the whole
-// channel for every query; the guard-ladder sweep (incremental_min_width)
-// already avoided re-encoding across *widths*. RoutingSession pushes the
-// same activation-literal pattern down to the *net* granularity:
+// The paper's flow (flow::FindMinimumWidthOnGraph) re-extracts the conflict
+// graph and re-encodes the whole channel for every query. RoutingSession
+// encodes once and answers every later query with assumptions: a width
+// guard ladder avoids re-encoding across *widths* (a minimum-width sweep is
+// a loop of Solve(W) upward with every net active), and activation
+// literals push the same pattern down to the *net* granularity:
 //
 //   * Construction encodes the initial conflict graph at `max_width` once,
 //     streamed through a NetGroupedSink into the resident solver. Every

@@ -48,7 +48,6 @@ JsonValue RunRecord::ToJson() const {
   o.emplace_back("width", JsonValue(width));
   o.emplace_back("cube_workers", JsonValue(cube_workers));
   o.emplace_back("verdict", JsonValue(verdict));
-  o.emplace_back("coloring_seconds", JsonValue(coloring_seconds));
   o.emplace_back("encode_seconds", JsonValue(encode_seconds));
   o.emplace_back("solve_seconds", JsonValue(solve_seconds));
   o.emplace_back("total_seconds", JsonValue(total_seconds));
@@ -131,7 +130,6 @@ bool RunRecord::FromJson(const JsonValue& value, RunRecord* record,
   r.width = static_cast<int>(GetU64(value, "width"));
   r.cube_workers = static_cast<int>(GetU64(value, "cube_workers"));
   r.verdict = GetString(value, "verdict");
-  r.coloring_seconds = GetDouble(value, "coloring_seconds");
   r.encode_seconds = GetDouble(value, "encode_seconds");
   r.solve_seconds = GetDouble(value, "solve_seconds");
   r.total_seconds = GetDouble(value, "total_seconds");

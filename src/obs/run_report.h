@@ -1,7 +1,8 @@
 // Structured run reports: one JSONL record per solve.
 //
-// Every solve path — `flow::RouteDetailedOnGraph`, both min-width sweeps,
-// the portfolio runner, the cube pool — appends a RunRecord to the writer
+// Every solve path — `flow::RouteDetailedOnGraph` (and with it the
+// min-width search and the portfolio members), the cube pool, the routing
+// session — appends a RunRecord to the writer
 // installed via SetGlobalReport (the CLI's `--report FILE`). A record
 // carries the verdict, stage timings, the solver-window stats (propagations
 // / conflicts / restarts / learned over exactly the window this record
@@ -32,8 +33,7 @@ namespace satfr::obs {
 struct RunRecord {
   // ---- context ----
   std::string instance;   // run label: MCNC circuit, .col file, "cnf", ...
-  std::string phase;      // "route", "min_width", "incremental",
-                          // "portfolio", "session"
+  std::string phase;      // "route", "cube", "session"
   std::string encoding;
   std::string symmetry;
   int width = 0;
@@ -43,7 +43,6 @@ struct RunRecord {
   std::string verdict;  // "SAT" / "UNSAT" / "UNKNOWN"
 
   // ---- stage timings (seconds) ----
-  double coloring_seconds = 0.0;
   double encode_seconds = 0.0;
   double solve_seconds = 0.0;
   double total_seconds = 0.0;

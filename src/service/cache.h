@@ -11,9 +11,10 @@
 // pass can re-solve sampled entries fresh and compare.
 //
 // The cache is a sharded bounded LRU map: shard = key-hash % num_shards,
-// each shard one `mc::Mutex` around an intrusive LRU list + hash index,
-// bounded by entries AND approximate heap bytes. All synchronization goes
-// through the mc:: shim (DESIGN.md §13).
+// each shard one `mc::Mutex` around an intrusive LRU list + a hash index
+// keyed by the full CacheKey (so two keys whose 64-bit hashes collide are
+// separate entries), bounded by entries AND approximate heap bytes. All
+// synchronization goes through the mc:: shim (DESIGN.md §13).
 #ifndef SATFR_SERVICE_CACHE_H_
 #define SATFR_SERVICE_CACHE_H_
 
@@ -68,6 +69,13 @@ struct CacheKey {
   }
 
   std::string ToString() const;
+
+  /// Hasher for unordered containers keyed by the full CacheKey.
+  struct Hasher {
+    std::size_t operator()(const CacheKey& key) const {
+      return static_cast<std::size_t>(key.Hash());
+    }
+  };
 };
 
 struct CacheTierStats {
@@ -109,16 +117,11 @@ class ShardedLruCache {
   /// count on a hit.
   std::shared_ptr<const V> Lookup(const CacheKey& key,
                                   std::uint64_t* hits_out = nullptr) {
-    const std::uint64_t h = key.Hash();
-    Shard& shard = ShardFor(h);
+    Shard& shard = ShardFor(key);
     mc::MutexLock lock(shard.mutex);
     ++shard.stats.lookups;
-    auto it = shard.index.find(h);
-    // Hash collisions across distinct keys fall through to a miss; the
-    // colliding resident stays (first writer wins the 64-bit slot).
-    if (it == shard.index.end() || !(it->second->key == key)) {
-      return nullptr;
-    }
+    auto it = shard.index.find(key);
+    if (it == shard.index.end()) return nullptr;
     Entry& entry = *it->second;
     ++entry.hit_count;
     ++shard.stats.hits;
@@ -132,10 +135,9 @@ class ShardedLruCache {
   /// until both shard bounds hold.
   void Insert(const CacheKey& key, std::shared_ptr<const V> value,
               std::size_t bytes) {
-    const std::uint64_t h = key.Hash();
-    Shard& shard = ShardFor(h);
+    Shard& shard = ShardFor(key);
     mc::MutexLock lock(shard.mutex);
-    auto it = shard.index.find(h);
+    auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       // Refresh in place (idempotent re-insert after a racing miss).
       shard.bytes -= it->second->bytes;
@@ -146,7 +148,7 @@ class ShardedLruCache {
       return;
     }
     shard.lru.push_front(Entry{key, std::move(value), bytes, 0});
-    shard.index.emplace(h, shard.lru.begin());
+    shard.index.emplace(key, shard.lru.begin());
     shard.bytes += bytes;
     ++shard.stats.insertions;
     while (shard.lru.size() > options_.max_entries_per_shard ||
@@ -154,18 +156,17 @@ class ShardedLruCache {
             shard.lru.size() > 1)) {
       const Entry& victim = shard.lru.back();
       shard.bytes -= victim.bytes;
-      shard.index.erase(victim.key.Hash());
+      shard.index.erase(victim.key);
       shard.lru.pop_back();
       ++shard.stats.evictions;
     }
   }
 
   bool Erase(const CacheKey& key) {
-    const std::uint64_t h = key.Hash();
-    Shard& shard = ShardFor(h);
+    Shard& shard = ShardFor(key);
     mc::MutexLock lock(shard.mutex);
-    auto it = shard.index.find(h);
-    if (it == shard.index.end() || !(it->second->key == key)) return false;
+    auto it = shard.index.find(key);
+    if (it == shard.index.end()) return false;
     shard.bytes -= it->second->bytes;
     shard.lru.erase(it->second);
     shard.index.erase(it);
@@ -222,17 +223,15 @@ class ShardedLruCache {
   struct Shard {
     mutable mc::Mutex mutex;
     std::list<Entry> lru SATFR_GUARDED_BY(mutex);
-    std::unordered_map<std::uint64_t, typename std::list<Entry>::iterator>
+    std::unordered_map<CacheKey, typename std::list<Entry>::iterator,
+                       CacheKey::Hasher>
         index SATFR_GUARDED_BY(mutex);
     std::size_t bytes SATFR_GUARDED_BY(mutex) = 0;
     CacheTierStats stats SATFR_GUARDED_BY(mutex);
   };
 
-  Shard& ShardFor(std::uint64_t hash) {
-    return shards_[static_cast<std::size_t>(hash % shards_.size())];
-  }
-  const Shard& ShardFor(std::uint64_t hash) const {
-    return shards_[static_cast<std::size_t>(hash % shards_.size())];
+  Shard& ShardFor(const CacheKey& key) {
+    return shards_[static_cast<std::size_t>(key.Hash() % shards_.size())];
   }
 
   const CacheTierOptions options_;

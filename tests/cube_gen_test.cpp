@@ -21,7 +21,7 @@ TEST(CubeGenTest, EdgelessGraphSplitsToTargetExactly) {
   const encode::DomainEncoding domain = Domain("muldirect", 3);
   CubeGenOptions options;
   options.target_cubes = 27;
-  const CubeSet cubes = GenerateCubes(g, domain, 3, {}, options);
+  const CubeSet cubes = GenerateCubes(g, domain, {}, options);
   EXPECT_EQ(cubes.cubes.size(), 27u);
   EXPECT_EQ(cubes.branch_vertices.size(), 3u);
   EXPECT_EQ(cubes.pruned_conflict, 0u);
@@ -34,7 +34,7 @@ TEST(CubeGenTest, BranchVertexCapIsRespected) {
   CubeGenOptions options;
   options.target_cubes = 1 << 20;  // unreachable: the cap cuts first
   options.max_branch_vertices = 2;
-  const CubeSet cubes = GenerateCubes(g, domain, 3, {}, options);
+  const CubeSet cubes = GenerateCubes(g, domain, {}, options);
   EXPECT_EQ(cubes.branch_vertices.size(), 2u);
   EXPECT_EQ(cubes.cubes.size(), 9u);
 }
@@ -46,7 +46,7 @@ TEST(CubeGenTest, HighestDegreeVertexBranchesFirst) {
   const encode::DomainEncoding domain = Domain("muldirect", 3);
   CubeGenOptions options;
   options.target_cubes = 2;
-  const CubeSet cubes = GenerateCubes(g, domain, 3, {}, options);
+  const CubeSet cubes = GenerateCubes(g, domain, {}, options);
   ASSERT_FALSE(cubes.branch_vertices.empty());
   EXPECT_EQ(cubes.branch_vertices[0], 0);
 }
@@ -57,7 +57,7 @@ TEST(CubeGenTest, SequenceVerticesBranchFirstWithClippedDomains) {
   graph::Graph g(2);
   const encode::DomainEncoding domain = Domain("muldirect", 3);
   const std::vector<graph::VertexId> sequence = {0, 1};
-  const CubeSet cubes = GenerateCubes(g, domain, 3, sequence);
+  const CubeSet cubes = GenerateCubes(g, domain, sequence);
   EXPECT_EQ(cubes.cubes.size(), 2u);  // 1 (v0: color 0) x 2 (v1: colors 0,1)
   ASSERT_EQ(cubes.branch_vertices.size(), 2u);
   EXPECT_EQ(cubes.branch_vertices[0], 0);
@@ -77,7 +77,7 @@ TEST(CubeGenTest, ConflictPruningDropsAdjacentEqualColors) {
   g.AddEdge(1, 2);
   const encode::DomainEncoding domain = Domain("muldirect", 2);
   const std::vector<graph::VertexId> sequence = {0, 1, 2};
-  const CubeSet cubes = GenerateCubes(g, domain, 2, sequence);
+  const CubeSet cubes = GenerateCubes(g, domain, sequence);
   EXPECT_TRUE(cubes.cubes.empty());
   EXPECT_GT(cubes.pruned_conflict, 0u);
 }
@@ -90,7 +90,7 @@ TEST(CubeGenTest, CubeLiteralsLieInBranchVertexBlocks) {
     const encode::DomainEncoding domain = Domain(name, 4);
     CubeGenOptions options;
     options.target_cubes = 16;
-    const CubeSet cubes = GenerateCubes(g, domain, 4, {}, options);
+    const CubeSet cubes = GenerateCubes(g, domain, {}, options);
     ASSERT_FALSE(cubes.cubes.empty()) << name;
     for (const std::vector<sat::Lit>& cube : cubes.cubes) {
       ASSERT_FALSE(cube.empty()) << name;
@@ -116,8 +116,8 @@ TEST(CubeGenTest, GenerationIsDeterministic) {
   const encode::DomainEncoding domain = Domain("muldirect", 3);
   const auto sequence = symmetry::SymmetrySequence(g, 3,
                                                   symmetry::Heuristic::kS1);
-  const CubeSet first = GenerateCubes(g, domain, 3, sequence);
-  const CubeSet second = GenerateCubes(g, domain, 3, sequence);
+  const CubeSet first = GenerateCubes(g, domain, sequence);
+  const CubeSet second = GenerateCubes(g, domain, sequence);
   EXPECT_EQ(first.cubes, second.cubes);
   EXPECT_EQ(first.branch_vertices, second.branch_vertices);
   EXPECT_EQ(first.pruned_conflict, second.pruned_conflict);

@@ -220,10 +220,9 @@ TEST(RunReportTest, RecordRoundTripsThroughJson) {
   record.width = 7;
   record.cube_workers = 4;
   record.verdict = "UNSAT";
-  record.coloring_seconds = 0.25;
   record.encode_seconds = 0.5;
   record.solve_seconds = 1.5;
-  record.total_seconds = 2.25;
+  record.total_seconds = 2.0;
   record.cnf_vars = 1234;
   record.cnf_clauses = 56789;
   record.propagations = 111;

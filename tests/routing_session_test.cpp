@@ -1,13 +1,14 @@
 // Tests for the incremental routing session: lifecycle (encode once, solve
-// many widths on assumptions), rip-up/re-route semantics, the incremental
-// contract counters, error paths, the audit stream's hygiene, and the
-// randomized scripted-delta equivalence sweep against the fresh
-// extract+encode+solve flow across every evaluated encoding and symmetry
-// heuristic.
+// many widths on assumptions), the guard-ladder minimum-width sweep against
+// the scratch search, rip-up/re-route semantics, the incremental contract
+// counters, error paths, the audit stream's hygiene, and the randomized
+// scripted-delta equivalence sweep against the fresh extract+encode+solve
+// flow across every evaluated encoding and symmetry heuristic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/runner.h"
@@ -15,12 +16,15 @@
 #include "encode/registry.h"
 #include "flow/conflict_graph.h"
 #include "flow/detailed_router.h"
+#include "flow/min_width.h"
 #include "flow/routing_session.h"
+#include "flow/track_checker.h"
 #include "fpga/device_graph.h"
 #include "graph/coloring_bounds.h"
 #include "graph/graph.h"
 #include "netlist/mcnc_suite.h"
 #include "route/global_router.h"
+#include "route/global_routing.h"
 #include "symmetry/symmetry.h"
 #include "test_util.h"
 
@@ -88,6 +92,68 @@ TEST(RoutingSessionTest, SolvesAcrossWidthsWithoutReencoding) {
   }
   EXPECT_EQ(session.session_stats().full_encodes, 1u);
   EXPECT_EQ(session.session_stats().graph_extractions, 0u);
+}
+
+/// The guard-ladder minimum-width sweep: one session opened at the DSATUR
+/// width with every net active, Solve(W) walked upward from `lower_bound`.
+/// Returns the first SAT width (-1 if none) and its result in `*at_min`.
+int SessionMinWidth(const graph::Graph& g, int lower_bound,
+                    SessionSolveResult* at_min) {
+  const int dsatur = graph::NumColorsUsed(graph::DsaturColoring(g));
+  RoutingSessionOptions options;
+  options.encoding = encode::GetEncoding("ITE-linear-2+muldirect");
+  options.heuristic = symmetry::Heuristic::kS1;
+  RoutingSession session(g, dsatur, options);
+  EXPECT_TRUE(session.ok()) << session.error();
+  for (int width = std::max(1, lower_bound); width <= dsatur; ++width) {
+    SessionSolveResult result = session.Solve(width);
+    EXPECT_TRUE(result.error.empty()) << result.error;
+    if (result.status == SolveResult::kSat) {
+      *at_min = std::move(result);
+      return width;
+    }
+    EXPECT_EQ(result.status, SolveResult::kUnsat) << "width " << width;
+  }
+  return -1;
+}
+
+TEST(RoutingSessionTest, WidthSweepMatchesExactChromaticNumber) {
+  Rng rng(31415);
+  for (int i = 0; i < 10; ++i) {
+    const graph::Graph g = testutil::RandomGraph(rng, 12, 0.35);
+    SessionSolveResult at_min;
+    const int min_width = SessionMinWidth(g, 1, &at_min);
+    EXPECT_EQ(min_width, graph::ChromaticNumberExact(g)) << "iteration " << i;
+    EXPECT_TRUE(g.IsProperColoring(at_min.tracks)) << "iteration " << i;
+  }
+}
+
+TEST(RoutingSessionTest, WidthSweepMatchesScratchSearchOnTable2) {
+  for (const std::string& name : netlist::Table2BenchmarkNames()) {
+    const netlist::McncBenchmark bench = netlist::GenerateMcncBenchmark(name);
+    const fpga::Arch arch(bench.params.grid_size);
+    const fpga::DeviceGraph device(arch);
+    const route::GlobalRouting routing =
+        route::RouteGlobally(device, bench.netlist, bench.placement);
+    const graph::Graph conflict = BuildConflictGraph(arch, routing);
+    const int peak = route::PeakCongestion(arch, routing);
+
+    MinWidthOptions scratch_options;
+    scratch_options.route.encoding =
+        encode::GetEncoding("ITE-linear-2+muldirect");
+    scratch_options.route.heuristic = symmetry::Heuristic::kS1;
+    const MinWidthResult scratch =
+        FindMinimumWidthOnGraph(conflict, peak, scratch_options);
+    ASSERT_GT(scratch.min_width, 0) << name;
+
+    SessionSolveResult at_min;
+    const int min_width = SessionMinWidth(conflict, peak, &at_min);
+    EXPECT_EQ(min_width, scratch.min_width) << name;
+    std::string error;
+    EXPECT_TRUE(ValidateTrackAssignment(arch, routing, at_min.tracks,
+                                        min_width, &error))
+        << name << ": " << error;
+  }
 }
 
 TEST(RoutingSessionTest, RipUpRelaxesAndRerouteRestores) {

@@ -15,6 +15,7 @@
 
 #include "analysis/pass.h"
 #include "analysis/runner.h"
+#include "common/rng.h"
 #include "flow/detailed_router.h"
 #include "graph/graph.h"
 #include "service/cache.h"
@@ -158,6 +159,51 @@ TEST(ShardedLruCache, RefreshInPlaceAndErase) {
   EXPECT_FALSE(cache.Erase(KeyW(1)));
   EXPECT_EQ(cache.Lookup(KeyW(1)), nullptr);
   EXPECT_EQ(cache.stats().bytes, 0u);
+}
+
+// Returns a key that differs from `a` only in fingerprint and width yet has
+// the same Hash(). Hash() folds the three strings into h0, then the
+// fingerprint and the width FNV-style (h1 = h0*P ^ f, h2 = h1*P ^ w) before
+// a bijective avalanche, so equal h2 means equal Hash(); P is odd, hence
+// invertible mod 2^64, and the colliding fingerprint has a closed form.
+CacheKey CollidingKey(const CacheKey& a, int width) {
+  constexpr std::uint64_t kP = 1099511628211ULL;
+  std::uint64_t p_inverse = kP;  // Newton: correct bits double per step
+  for (int i = 0; i < 6; ++i) p_inverse *= 2 - kP * p_inverse;
+  std::uint64_t h0 = StableHash64(a.encoding);
+  h0 = h0 * kP ^ StableHash64(a.symmetry);
+  h0 = h0 * kP ^ StableHash64(a.solver);
+  const std::uint64_t h1_a = h0 * kP ^ a.fingerprint;
+  const std::uint64_t h2 = h1_a * kP ^ static_cast<std::uint64_t>(a.width);
+  const std::uint64_t h1_b = (h2 ^ static_cast<std::uint64_t>(width)) *
+                             p_inverse;
+  CacheKey b = a;
+  b.fingerprint = h1_b ^ (h0 * kP);
+  b.width = width;
+  return b;
+}
+
+TEST(ShardedLruCache, HashCollisionsAreSeparateEntries) {
+  const CacheKey a{1234, 5, "muldirect", "none", "siege"};
+  const CacheKey b = CollidingKey(a, 6);
+  ASSERT_FALSE(a == b);
+  ASSERT_EQ(a.Hash(), b.Hash());
+
+  ShardedLruCache<int> cache(CacheTierOptions{1, 4, 1u << 20});
+  cache.Insert(a, std::make_shared<const int>(10), 1);
+  cache.Insert(b, std::make_shared<const int>(20), 1);
+  const auto va = cache.Lookup(a);
+  ASSERT_NE(va, nullptr);
+  EXPECT_EQ(*va, 10);  // not b's verdict
+  const auto vb = cache.Lookup(b);
+  ASSERT_NE(vb, nullptr);
+  EXPECT_EQ(*vb, 20);
+  EXPECT_EQ(cache.stats().entries, 2u);
+
+  EXPECT_TRUE(cache.Erase(b));
+  ASSERT_NE(cache.Lookup(a), nullptr);
+  EXPECT_EQ(*cache.Lookup(a), 10);
+  EXPECT_EQ(cache.Lookup(b), nullptr);
 }
 
 TEST(ShardedLruCache, SampleIsDeterministicAndBounded) {
