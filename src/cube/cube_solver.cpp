@@ -307,6 +307,8 @@ CubeSolveResult SolveColoringWithCubes(const graph::Graph& g, int num_colors,
     return sink.Finish();
   };
   CubeWorkerPool pool(options.solver, options.pool, key, setup);
+  result.cnf_vars = layout.num_vars;
+  result.encode_stats = layout.stats;
 
   const CubeSet cube_set = GenerateCubes(g, domain, sequence, options.gen);
   result.num_cubes = cube_set.cubes.size();
@@ -373,9 +375,9 @@ CubeSolveResult SolveColoringWithCubes(const graph::Graph& g, int num_colors,
     const sat::SolverStats window = result.solver_stats.Since(pre_batch);
     record.solve_seconds = window.solve_seconds;
     record.total_seconds = result.wall_seconds;
-    record.cnf_vars = static_cast<std::uint64_t>(layout.num_vars);
+    record.cnf_vars = static_cast<std::uint64_t>(result.cnf_vars);
     record.cnf_clauses =
-        static_cast<std::uint64_t>(layout.stats.TotalEmitted());
+        static_cast<std::uint64_t>(result.encode_stats.TotalEmitted());
     record.SetSolverWindow(window);
     record.cubes = static_cast<std::uint64_t>(result.num_cubes);
     record.cubes_stolen = static_cast<std::uint64_t>(result.cubes_stolen);

@@ -44,6 +44,7 @@
 
 #include "common/stopwatch.h"
 #include "cube/cube_gen.h"
+#include "encode/csp_to_cnf.h"
 #include "mc/shim.h"
 #include "encode/registry.h"
 #include "graph/graph.h"
@@ -169,6 +170,9 @@ struct CubeSolveResult {
   bool model_validated = false;
   /// Non-empty when internal validation failed (solver bug surfaced).
   std::string error;
+  /// Size of the formula each worker loaded.
+  int cnf_vars = 0;
+  encode::ColoringCnfStats encode_stats;
 
   std::size_t num_cubes = 0;
   std::size_t cubes_resolved = 0;

@@ -32,15 +32,7 @@ struct ColoringCnfStats {
   std::size_t conflict_clauses = 0;
   std::size_t symmetry_clauses = 0;
 
-  // Inline-simplification effects (populated only when the emission went
-  // through a SimplifyingSink; zero otherwise). The three categories above
-  // always count clauses *as emitted by the encoder* — pre-simplification —
-  // so Table 1 numbers are invariant under sink composition.
-  std::size_t simplify_dropped_clauses = 0;
-  std::size_t simplify_eliminated_literals = 0;
-  std::size_t simplify_fixed_units = 0;
-
-  /// Total clauses the encoder emitted (pre-simplification).
+  /// Total clauses the encoder emitted.
   std::size_t TotalEmitted() const {
     return structural_clauses + conflict_clauses + symmetry_clauses;
   }

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "analysis/runner.h"
+#include "cube/cube_solver.h"
 #include "flow/conflict_graph.h"
 #include "flow/track_checker.h"
 #include "obs/metrics.h"
@@ -21,16 +22,14 @@ const char* RunLabel(const DetailedRouteOptions& options) {
   return options.run_label.empty() ? "graph" : options.run_label.c_str();
 }
 
-/// `routing` is non-null only when the caller extracted the conflict graph
-/// from a global routing itself; the selfcheck's flow-two-pin pass then
-/// cross-checks the two.
-DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
-                                 int num_tracks,
-                                 const DetailedRouteOptions& options,
-                                 const route::GlobalRouting* routing) {
+/// One width on one fresh solver. `routing` is non-null only when the
+/// caller extracted the conflict graph from a global routing itself; the
+/// selfcheck's flow-two-pin pass then cross-checks the two.
+DetailedRouteResult SolveMonolithic(const graph::Graph& conflict_graph,
+                                    int num_tracks,
+                                    const DetailedRouteOptions& options,
+                                    const route::GlobalRouting* routing) {
   DetailedRouteResult result;
-  result.conflict_vertices = conflict_graph.num_vertices();
-  result.conflict_edges = conflict_graph.num_edges();
 
   // Telemetry is pull-installed: both sinks default to null, so a solve
   // with telemetry off costs two atomic loads here and nothing downstream.
@@ -45,9 +44,6 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
                      obs::JsonValue(symmetry::ToString(options.heuristic)));
   encode_span.AddArg("width", obs::JsonValue(num_tracks));
 
-  // The lint passes re-walk the CNF and the RUP checker re-propagates it, so
-  // both need the materialized formula.
-  const bool materialize = options.selfcheck || options.verify_unsat_proof;
   const std::vector<graph::VertexId> sequence = symmetry::SymmetrySequence(
       conflict_graph, num_tracks, options.heuristic);
 
@@ -63,59 +59,42 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
     solver.SetClauseExchange(options.exchange, options.exchange_participant);
   }
 
-  // Everyone except the materialized paths streams the encoder straight into
-  // the solver and never holds an intermediate Cnf.
-  encode::ColoringLayout layout;
+  // The encoder always streams straight into the solver. The lint passes
+  // re-walk the CNF and the RUP checker re-propagates it, so only then is
+  // the stream teed into a collected Cnf as well.
   encode::EncodedColoring encoded;
-  bool consistent = true;
-  if (materialize) {
-    encoded = encode::EncodeColoring(conflict_graph, num_tracks,
-                                     options.encoding, sequence);
-    if (options.selfcheck) {
-      const analysis::AnalysisRunner runner = analysis::MakeDefaultRunner();
-      analysis::AnalysisInput lint_input;
-      lint_input.cnf = &encoded.cnf;
-      lint_input.conflict_graph = &conflict_graph;
-      lint_input.encoded = &encoded;
-      lint_input.spec = &options.encoding;
-      lint_input.symmetry_sequence = &sequence;
-      lint_input.routing = routing;
-      analysis::AnalysisReport report = runner.Run(lint_input);
-      const bool broken = report.HasErrors();
-      result.lint = std::move(report.diagnostics);
-      if (broken) {
-        // Never hand a formula that violates its own encoding contract to
-        // the solver: its answer would say nothing about the routing
-        // instance.
-        result.encode_seconds = encode_watch.Seconds();
-        result.status = sat::SolveResult::kUnknown;
-        return result;
-      }
+  sat::SolverSink direct(solver);
+  sat::CnfCollectorSink collect(encoded.cnf);
+  sat::TeeSink tee(direct, collect);
+  sat::ClauseSink& sink = options.selfcheck || options.verify_unsat_proof
+                              ? static_cast<sat::ClauseSink&>(tee)
+                              : direct;
+  static_cast<encode::ColoringLayout&>(encoded) = encode::EncodeColoringToSink(
+      conflict_graph, num_tracks, options.encoding, sequence, sink);
+  const bool consistent = sink.Finish();
+  if (options.selfcheck) {
+    const analysis::AnalysisRunner runner = analysis::MakeDefaultRunner();
+    analysis::AnalysisInput lint_input;
+    lint_input.cnf = &encoded.cnf;
+    lint_input.conflict_graph = &conflict_graph;
+    lint_input.encoded = &encoded;
+    lint_input.spec = &options.encoding;
+    lint_input.symmetry_sequence = &sequence;
+    lint_input.routing = routing;
+    analysis::AnalysisReport report = runner.Run(lint_input);
+    const bool broken = report.HasErrors();
+    result.lint = std::move(report.diagnostics);
+    if (broken) {
+      // Never solve a formula that violates its own encoding contract: its
+      // answer would say nothing about the routing instance.
+      result.encode_seconds = encode_watch.Seconds();
+      result.status = sat::SolveResult::kUnknown;
+      return result;
     }
-    consistent = solver.AddCnf(encoded.cnf);
-    layout = std::move(static_cast<encode::ColoringLayout&>(encoded));
-  } else {
-    sat::SolverSink direct(solver);
-    if (options.inline_simplify) {
-      sat::SimplifyingSink simplify(direct);
-      layout = encode::EncodeColoringToSink(
-          conflict_graph, num_tracks, options.encoding, sequence, simplify);
-      layout.stats.simplify_dropped_clauses =
-          simplify.stats().DroppedClauses();
-      layout.stats.simplify_eliminated_literals =
-          simplify.stats().eliminated_literals;
-      layout.stats.simplify_fixed_units = simplify.stats().fixed_units;
-      consistent = simplify.Finish();
-    } else {
-      layout = encode::EncodeColoringToSink(
-          conflict_graph, num_tracks, options.encoding, sequence, direct);
-      consistent = direct.Finish();
-    }
-    result.streamed_encode = true;
   }
-  result.cnf_vars = layout.num_vars;
-  result.cnf_clauses = layout.stats.TotalEmitted();
-  result.encode_stats = layout.stats;
+  result.cnf_vars = encoded.num_vars;
+  result.cnf_clauses = encoded.stats.TotalEmitted();
+  result.encode_stats = encoded.stats;
   result.encode_seconds = encode_watch.Seconds();
   encode_span.AddArg("vars", obs::JsonValue(result.cnf_vars));
   encode_span.AddArg("clauses",
@@ -165,20 +144,76 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
     if (observer.has_value()) observer->FillRecord(&record);
     report->Append(record);
   }
-  {
-    static const obs::MetricId solves =
-        obs::GlobalMetrics().Counter("flow.solves");
-    obs::GlobalMetrics().Add(solves);
-  }
 
   if (result.status == sat::SolveResult::kSat) {
-    result.tracks = encode::DecodeColoring(layout, solver.model());
-    assert(conflict_graph.IsProperColoring(result.tracks) &&
-           "decoded model must be a proper coloring");
+    result.tracks = encode::DecodeColoring(encoded, solver.model());
   } else if (result.status == sat::SolveResult::kUnsat &&
              options.verify_unsat_proof) {
     result.proof_clauses = proof.size();
     result.proof_verified = sat::VerifyRupRefutation(encoded.cnf, proof);
+  }
+  return result;
+}
+
+/// One width on a cube worker pool: the one place a cube::CubeSolveResult
+/// becomes a DetailedRouteResult. A fresh pool per call mirrors the
+/// monolithic semantics: every width is encoded and solved from nothing.
+DetailedRouteResult SolveWithCubes(const graph::Graph& conflict_graph,
+                                   int num_tracks,
+                                   const DetailedRouteOptions& options) {
+  DetailedRouteResult result;
+  if (options.selfcheck || options.verify_unsat_proof) {
+    result.error =
+        "selfcheck and verify_unsat_proof need the monolithic solver "
+        "(cube_workers = 0)";
+    return result;
+  }
+  cube::CubeSolveOptions cube_options;
+  cube_options.pool.num_workers = options.cube_workers;
+  cube_options.pool.deterministic = options.cube_deterministic;
+  cube_options.pool.share_max_lbd = options.solver.share_max_lbd;
+  cube_options.gen.target_cubes = options.cube_target_cubes;
+  cube_options.solver = options.solver;
+  cube_options.timeout_seconds = options.timeout_seconds;
+  cube_options.stop = options.stop;
+  cube_options.run_label = options.run_label;
+  cube::CubeSolveResult cube_result = cube::SolveColoringWithCubes(
+      conflict_graph, num_tracks, options.encoding, options.heuristic,
+      cube_options);
+  result.status = cube_result.status;
+  result.tracks = std::move(cube_result.colors);
+  result.solve_seconds = cube_result.wall_seconds;
+  result.cnf_vars = cube_result.cnf_vars;
+  result.cnf_clauses = cube_result.encode_stats.TotalEmitted();
+  result.encode_stats = cube_result.encode_stats;
+  result.solver_stats = cube_result.solver_stats;
+  result.error = std::move(cube_result.error);
+  return result;
+}
+
+/// Encode -> solve -> decode -> check for one width. Every kSat leaves
+/// through the coloring check, in every build type; a failed check turns
+/// the answer into kUnknown with `error` set.
+DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
+                                 int num_tracks,
+                                 const DetailedRouteOptions& options,
+                                 const route::GlobalRouting* routing) {
+  DetailedRouteResult result =
+      options.cube_workers > 0
+          ? SolveWithCubes(conflict_graph, num_tracks, options)
+          : SolveMonolithic(conflict_graph, num_tracks, options, routing);
+  result.conflict_vertices = conflict_graph.num_vertices();
+  result.conflict_edges = conflict_graph.num_edges();
+  static const obs::MetricId solves =
+      obs::GlobalMetrics().Counter("flow.solves");
+  obs::GlobalMetrics().Add(solves);
+
+  std::string error;
+  if (result.status == sat::SolveResult::kSat &&
+      !ValidateColoring(conflict_graph, result.tracks, num_tracks, &error)) {
+    result.status = sat::SolveResult::kUnknown;
+    result.tracks.clear();
+    result.error = "SAT model failed the track check: " + error;
   }
   return result;
 }

@@ -45,20 +45,24 @@ struct DetailedRouteOptions {
   /// encoded CNF before solving. Findings land in
   /// DetailedRouteResult::lint; any error-severity finding aborts the run
   /// with status kUnknown instead of handing a broken formula to the
-  /// solver. Debug aid; off by default (linting re-walks the whole CNF).
-  /// Forces the materializing encode path (the passes need the Cnf).
+  /// solver. Debug aid; off by default (linting re-walks the whole CNF,
+  /// which the encoder then also collects).
   bool selfcheck = false;
   /// Label for telemetry (trace spans and run-report records): the MCNC
   /// circuit / .col file / CNF name this solve belongs to. Purely
   /// descriptive; empty is fine (records then say "graph").
   std::string run_label;
-  /// Chain a SimplifyingSink in front of the solver on the streaming path:
-  /// unit-propagation/duplicate/tautology filtering happens clause by
-  /// clause before the solver sees the stream. Elimination counts land in
-  /// DetailedRouteResult::encode_stats. Ignored on the materialized path
-  /// (selfcheck / verify_unsat_proof), where the solver must see the exact
-  /// encoder output for the lint passes and the RUP checker.
-  bool inline_simplify = false;
+  /// Cube-and-conquer: when > 0, the width is solved by a cube worker pool
+  /// (src/cube) of this many resident solvers instead of one monolithic
+  /// solver. encoding/heuristic/solver/timeout/stop/run_label still apply;
+  /// exchange does not (the pool runs its own internal exchange), and
+  /// selfcheck / verify_unsat_proof need the monolithic solver (asking for
+  /// either with cubes yields kUnknown with `error` set).
+  int cube_workers = 0;
+  /// Cube-count target per width (see cube::CubeGenOptions).
+  int cube_target_cubes = 256;
+  /// Pin cube order and disable stealing/sharing (reproducible runs).
+  bool cube_deterministic = false;
 };
 
 struct DetailedRouteResult {
@@ -78,12 +82,7 @@ struct DetailedRouteResult {
   std::size_t cnf_clauses = 0;
   sat::SolverStats solver_stats;
 
-  /// True when the encoder streamed clauses straight into the solver (the
-  /// default); false when a Cnf was materialized because selfcheck or
-  /// verify_unsat_proof needed it.
-  bool streamed_encode = false;
-  /// Per-category clause counts of the encoding (and, with inline_simplify,
-  /// the simplifier's elimination counts).
+  /// Per-category clause counts of the encoding.
   encode::ColoringCnfStats encode_stats;
 
   /// Set only when options.verify_unsat_proof and status == kUnsat:
@@ -95,18 +94,28 @@ struct DetailedRouteResult {
   /// Findings of the satlint pipeline (only when options.selfcheck). If any
   /// is error-severity, status is kUnknown and no solve was attempted.
   std::vector<analysis::Diagnostic> lint;
+
+  /// Non-empty when the run could not produce a checked answer: a SAT model
+  /// that does not decode to a proper coloring within the width (the cube
+  /// pool's own model check included), or options the cube path cannot
+  /// honour. status is then kUnknown.
+  std::string error;
 };
 
 /// Routes `routing` in `num_tracks` tracks. kSat => `tracks` is a valid
 /// detailed routing (checked against the track checker in debug builds);
-/// kUnsat => provably unroutable at this width; kUnknown => timeout/stop.
+/// kUnsat => provably unroutable at this width; kUnknown => timeout/stop
+/// or an internal failure (see DetailedRouteResult::error).
 DetailedRouteResult RouteDetailed(const fpga::Arch& arch,
                                   const route::GlobalRouting& routing,
                                   int num_tracks,
                                   const DetailedRouteOptions& options = {});
 
 /// Same, but on a prebuilt conflict graph (skips extraction; used when many
-/// strategies run on one instance).
+/// strategies run on one instance). This is the one runner for a single
+/// width: encode -> solve (monolithic or cube pool) -> decode -> check.
+/// Every kSat it returns, in every build type, has tracks of size
+/// num_vertices, each in [0, num_tracks), forming a proper coloring.
 DetailedRouteResult RouteDetailedOnGraph(
     const graph::Graph& conflict_graph, int num_tracks,
     const DetailedRouteOptions& options = {});

@@ -3,45 +3,10 @@
 #include <algorithm>
 #include <string>
 
-#include "cube/cube_solver.h"
 #include "flow/conflict_graph.h"
 #include "obs/trace.h"
 
 namespace satfr::flow {
-
-namespace {
-
-// One width solved by a cube worker pool, adapted to the scratch search's
-// per-width result shape. A fresh pool per width mirrors the scratch
-// semantics: every width is encoded and solved from nothing.
-DetailedRouteResult RouteWidthWithCubes(const graph::Graph& conflict_graph,
-                                        int width,
-                                        const MinWidthOptions& options) {
-  cube::CubeSolveOptions cube_options;
-  cube_options.pool.num_workers = options.cube_workers;
-  cube_options.pool.deterministic = options.cube_deterministic;
-  cube_options.pool.share_max_lbd = options.route.solver.share_max_lbd;
-  cube_options.gen.target_cubes = options.cube_target_cubes;
-  cube_options.solver = options.route.solver;
-  cube_options.timeout_seconds = options.route.timeout_seconds;
-  cube_options.stop = options.route.stop;
-  cube_options.run_label = options.route.run_label;
-  const cube::CubeSolveResult cube_result = cube::SolveColoringWithCubes(
-      conflict_graph, width, options.route.encoding, options.route.heuristic,
-      cube_options);
-
-  DetailedRouteResult out;
-  out.status = cube_result.status;
-  out.tracks = cube_result.colors;
-  out.conflict_vertices = conflict_graph.num_vertices();
-  out.conflict_edges = conflict_graph.num_edges();
-  out.solve_seconds = cube_result.wall_seconds;
-  out.solver_stats = cube_result.solver_stats;
-  out.streamed_encode = true;
-  return out;
-}
-
-}  // namespace
 
 MinWidthResult FindMinimumWidthOnGraph(const graph::Graph& conflict_graph,
                                        int congestion_lower_bound,
@@ -55,14 +20,13 @@ MinWidthResult FindMinimumWidthOnGraph(const graph::Graph& conflict_graph,
     obs::TraceSpan width_span(obs::GlobalTrace(),
                               "width " + std::to_string(width), "sweep");
     DetailedRouteResult attempt =
-        options.cube_workers > 0
-            ? RouteWidthWithCubes(conflict_graph, width, options)
-            : RouteDetailedOnGraph(conflict_graph, width, options.route);
+        RouteDetailedOnGraph(conflict_graph, width, options.route);
     width_span.AddArg("verdict",
                       obs::JsonValue(sat::ToString(attempt.status)));
     width_span.End();
     if (attempt.status == sat::SolveResult::kUnknown) {
-      return result;  // timed out; min_width stays -1
+      result.error = std::move(attempt.error);
+      return result;  // timed out or failed; min_width stays -1
     }
     if (attempt.status == sat::SolveResult::kSat) {
       result.min_width = width;
@@ -75,13 +39,12 @@ MinWidthResult FindMinimumWidthOnGraph(const graph::Graph& conflict_graph,
       } else {
         // First probe was already SAT; prove width-1 unroutable explicitly.
         DetailedRouteResult proof =
-            options.cube_workers > 0
-                ? RouteWidthWithCubes(conflict_graph, width - 1, options)
-                : RouteDetailedOnGraph(conflict_graph, width - 1,
-                                       options.route);
+            RouteDetailedOnGraph(conflict_graph, width - 1, options.route);
         if (proof.status == sat::SolveResult::kUnsat) {
           result.proven_optimal = true;
           result.unroutable = std::move(proof);
+        } else {
+          result.error = std::move(proof.error);
         }
       }
       return result;

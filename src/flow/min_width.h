@@ -7,25 +7,18 @@
 // above the trivial bound of 1).
 #pragma once
 
+#include <string>
+
 #include "flow/detailed_router.h"
 
 namespace satfr::flow {
 
 struct MinWidthOptions {
+  /// How each width is solved (route.cube_workers > 0: by a cube pool).
   DetailedRouteOptions route;
   /// Upper bound on the search (safety net; conflict graphs are always
   /// colorable with max-degree+1 colors).
   int max_width = 64;
-  /// Cube-and-conquer: when > 0, each width is solved by a cube worker
-  /// pool (src/cube) of this many resident solvers instead of one
-  /// monolithic solver — the hard UNSAT widths parallelize across the cube
-  /// split. route.encoding/heuristic/solver/timeout/stop still apply;
-  /// route.exchange does not (the pool runs its own internal exchange).
-  int cube_workers = 0;
-  /// Cube-count target per width (see cube::CubeGenOptions).
-  int cube_target_cubes = 256;
-  /// Pin cube order and disable stealing/sharing (reproducible runs).
-  bool cube_deterministic = false;
 };
 
 struct MinWidthResult {
@@ -41,6 +34,9 @@ struct MinWidthResult {
   /// Result at min_width - 1 (status kUnsat) when proven_optimal and
   /// min_width > 1 — the paper's "unroutable configuration".
   DetailedRouteResult unroutable;
+  /// The DetailedRouteResult::error of the width that ended the search
+  /// with kUnknown; empty when that width merely ran out of time.
+  std::string error;
 };
 
 MinWidthResult FindMinimumWidth(const fpga::Arch& arch,

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "fpga/arch.h"
+#include "graph/graph.h"
 #include "route/global_routing.h"
 
 namespace satfr::flow {
@@ -18,5 +19,12 @@ bool ValidateTrackAssignment(const fpga::Arch& arch,
                              const route::GlobalRouting& routing,
                              const std::vector<int>& tracks, int num_tracks,
                              std::string* error = nullptr);
+
+/// The same check on the conflict graph alone, O(V + E): one track per
+/// vertex, each in [0, num_tracks), no edge inside one track. This is what
+/// every SAT answer of flow::RouteDetailedOnGraph passes.
+bool ValidateColoring(const graph::Graph& conflict_graph,
+                      const std::vector<int>& tracks, int num_tracks,
+                      std::string* error = nullptr);
 
 }  // namespace satfr::flow

@@ -5,9 +5,9 @@
 #include <thread>
 
 #include "common/stopwatch.h"
-#include "cube/cube_solver.h"
 #include "encode/csp_to_cnf.h"
 #include "encode/hierarchical.h"
+#include "flow/track_checker.h"
 #include "obs/trace.h"
 #include "sat/clause_sink.h"
 #include "sat/walksat.h"
@@ -61,36 +61,14 @@ flow::DetailedRouteResult RunWalkSatStrategy(
   result.solve_seconds = solve_watch.Seconds();
   if (result.status == sat::SolveResult::kSat) {
     result.tracks = encode::DecodeColoring(layout, walksat.model());
+    std::string error;
+    if (!flow::ValidateColoring(conflict_graph, result.tracks, num_tracks,
+                                &error)) {
+      result.status = sat::SolveResult::kUnknown;
+      result.tracks.clear();
+      result.error = "WalkSAT model failed the track check: " + error;
+    }
   }
-  return result;
-}
-
-// Runs one cube-and-conquer strategy (exact SAT/UNSAT via the cube pool).
-flow::DetailedRouteResult RunCubeStrategy(const graph::Graph& conflict_graph,
-                                          int num_tracks,
-                                          const Strategy& strategy,
-                                          double timeout_seconds,
-                                          const mc::Atomic<bool>* stop,
-                                          const std::string& run_label) {
-  cube::CubeSolveOptions options;
-  options.pool.num_workers = strategy.cube_workers;
-  options.solver = strategy.solver;
-  options.timeout_seconds = timeout_seconds;
-  options.stop = stop;
-  options.run_label = run_label;
-  const cube::CubeSolveResult cube_result = cube::SolveColoringWithCubes(
-      conflict_graph, num_tracks,
-      encode::GetEncoding(strategy.encoding_name), strategy.heuristic,
-      options);
-
-  flow::DetailedRouteResult result;
-  result.status = cube_result.status;
-  result.tracks = cube_result.colors;
-  result.conflict_vertices = conflict_graph.num_vertices();
-  result.conflict_edges = conflict_graph.num_edges();
-  result.solve_seconds = cube_result.wall_seconds;
-  result.solver_stats = cube_result.solver_stats;
-  result.streamed_encode = true;
   return result;
 }
 
@@ -204,9 +182,6 @@ PortfolioResult RunPortfolio(const graph::Graph& conflict_graph,
       if (strategies[s].use_walksat) {
         result = RunWalkSatStrategy(conflict_graph, num_tracks,
                                     strategies[s], timeout_seconds, &stop);
-      } else if (strategies[s].cube_workers > 0) {
-        result = RunCubeStrategy(conflict_graph, num_tracks, strategies[s],
-                                 timeout_seconds, &stop, options.run_label);
       } else {
         flow::DetailedRouteOptions route_options;
         route_options.encoding =
@@ -217,6 +192,7 @@ PortfolioResult RunPortfolio(const graph::Graph& conflict_graph,
         route_options.timeout_seconds = timeout_seconds;
         route_options.stop = &stop;
         route_options.run_label = options.run_label;
+        route_options.cube_workers = strategies[s].cube_workers;
         if (participants[s] >= 0) {
           route_options.exchange = &exchange;
           route_options.exchange_participant = participants[s];

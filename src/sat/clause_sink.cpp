@@ -1,6 +1,5 @@
 #include "sat/clause_sink.h"
 
-#include <algorithm>
 #include <cassert>
 #include <charconv>
 #include <ostream>
@@ -105,60 +104,6 @@ bool StreamingDimacsSink::Finish() {
   out_.seekp(end);
   out_.flush();
   return static_cast<bool>(out_);
-}
-
-// ----------------------------------------------------------- SimplifyingSink
-
-void SimplifyingSink::DoEmit(const Lit* lits, std::size_t n) {
-  if (contradiction_) {
-    // The empty clause already went downstream; everything after it is
-    // subsumed.
-    ++stats_.dropped_satisfied;
-    return;
-  }
-  scratch_.assign(lits, lits + n);
-  std::sort(scratch_.begin(), scratch_.end());
-  std::size_t out = 0;
-  Lit previous = kUndefLit;
-  for (const Lit l : scratch_) {
-    assert(l.IsValid() &&
-           static_cast<std::size_t>(l.var()) < fixed_.size() &&
-           "literal on undeclared variable");
-    if (l == previous) {  // duplicate literal
-      ++stats_.eliminated_literals;
-      continue;
-    }
-    const LBool value = LitValue(l, fixed_[static_cast<std::size_t>(l.var())]);
-    if (value == LBool::kTrue) {  // satisfied at level 0
-      ++stats_.dropped_satisfied;
-      return;
-    }
-    if (value == LBool::kFalse) {  // falsified at level 0
-      ++stats_.eliminated_literals;
-      previous = l;
-      continue;
-    }
-    if (previous.IsValid() && l.var() == previous.var()) {
-      // l and ~l, neither fixed (a fixed pair would have hit one of the
-      // value branches above): tautology.
-      ++stats_.dropped_tautologies;
-      return;
-    }
-    scratch_[out++] = l;
-    previous = l;
-  }
-  scratch_.resize(out);
-  if (out == 1) {
-    const Lit unit = scratch_[0];
-    fixed_[static_cast<std::size_t>(unit.var())] =
-        unit.negated() ? LBool::kFalse : LBool::kTrue;
-    ++stats_.fixed_units;
-  } else if (out == 0) {
-    // All literals eliminated: the stream is unsatisfiable. Forward the
-    // empty clause so downstream consumers reach the same verdict.
-    contradiction_ = true;
-  }
-  down_.EmitClause(scratch_.data(), out);
 }
 
 }  // namespace satfr::sat

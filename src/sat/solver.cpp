@@ -125,6 +125,12 @@ SolverOptions SolverOptions::SiegeLike() {
   return opts;
 }
 
+std::optional<SolverOptions> FindSolverPreset(std::string_view name) {
+  if (name == "siege") return SolverOptions::SiegeLike();
+  if (name == "minisat") return SolverOptions::MiniSatLike();
+  return std::nullopt;
+}
+
 float Solver::ClauseView::Activity() const {
   float value;
   std::memcpy(&value, header + 1, sizeof(value));

@@ -36,7 +36,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
@@ -122,6 +124,10 @@ struct SolverOptions {
   /// a pinch of randomness), approximating siege_v4's profile.
   static SolverOptions SiegeLike();
 };
+
+/// Looks a CDCL preset up by name: "siege" (SiegeLike) or "minisat"
+/// (MiniSatLike).
+std::optional<SolverOptions> FindSolverPreset(std::string_view name);
 
 struct SolverStats {
   /// Buckets of the learnt-LBD histogram: bucket i counts learnts whose LBD

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "encode/registry.h"
+#include "flow/track_checker.h"
 #include "symmetry/symmetry.h"
 
 namespace satfr::service {
@@ -14,30 +15,6 @@ namespace {
 std::uint64_t Micros(double seconds) {
   return seconds <= 0.0 ? 0
                         : static_cast<std::uint64_t>(seconds * 1e6 + 0.5);
-}
-
-bool ParseSymmetry(const std::string& name, symmetry::Heuristic* out) {
-  if (name == "none" || name == "-") {
-    *out = symmetry::Heuristic::kNone;
-  } else if (name == "b1") {
-    *out = symmetry::Heuristic::kB1;
-  } else if (name == "s1") {
-    *out = symmetry::Heuristic::kS1;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool ParseSolverPreset(const std::string& name, sat::SolverOptions* out) {
-  if (name == "siege" || name.empty()) {
-    *out = sat::SolverOptions::SiegeLike();
-  } else if (name == "minisat") {
-    *out = sat::SolverOptions::MiniSatLike();
-  } else {
-    return false;
-  }
-  return true;
 }
 
 // Wait-side nap between settle-state polls (the scheduler's Wait does the
@@ -213,14 +190,16 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
       r.error = "unknown encoding: " + request.encoding;
       break;
     }
-    symmetry::Heuristic heuristic;
-    if (!ParseSymmetry(request.symmetry, &heuristic)) {
+    const std::optional<symmetry::Heuristic> heuristic =
+        symmetry::FindHeuristic(request.symmetry);
+    if (!heuristic.has_value()) {
       r.ok = false;
       r.error = "unknown symmetry heuristic: " + request.symmetry;
       break;
     }
-    sat::SolverOptions preset;
-    if (!ParseSolverPreset(request.solver, &preset)) {
+    const std::optional<sat::SolverOptions> preset =
+        sat::FindSolverPreset(request.solver);
+    if (!preset.has_value()) {
       r.ok = false;
       r.error = "unknown solver preset: " + request.solver;
       break;
@@ -239,8 +218,8 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
 
     flow::DetailedRouteOptions route_options;
     route_options.encoding = *spec;
-    route_options.heuristic = heuristic;
-    route_options.solver = preset;
+    route_options.heuristic = *heuristic;
+    route_options.solver = *preset;
     route_options.timeout_seconds = request.timeout_seconds >= 0.0
                                         ? request.timeout_seconds
                                         : options_.timeout_seconds;
@@ -249,6 +228,8 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
     const flow::DetailedRouteResult result =
         flow::RouteDetailedOnGraph(*request.graph, request.width,
                                    route_options);
+    r.ok = result.error.empty();
+    r.error = result.error;
     r.status = result.status;
     r.tracks = result.tracks;
     r.solve_seconds = result.solve_seconds;
@@ -280,7 +261,8 @@ bool RoutingService::OpenSession(const std::string& client,
                                  std::shared_ptr<const graph::Graph> graph,
                                  int max_width, const std::string& encoding,
                                  const std::string& symmetry,
-                                 std::string* error) {
+                                 std::string* error,
+                                 const std::string& solver) {
   const auto fail = [error](const std::string& message) {
     if (error != nullptr) *error = message;
     return false;
@@ -289,11 +271,18 @@ bool RoutingService::OpenSession(const std::string& client,
   const std::optional<encode::EncodingSpec> spec =
       encode::FindEncoding(encoding);
   if (!spec.has_value()) return fail("unknown encoding: " + encoding);
-  flow::RoutingSessionOptions session_options;
-  session_options.encoding = *spec;
-  if (!ParseSymmetry(symmetry, &session_options.heuristic)) {
+  const std::optional<symmetry::Heuristic> heuristic =
+      symmetry::FindHeuristic(symmetry);
+  if (!heuristic.has_value()) {
     return fail("unknown symmetry heuristic: " + symmetry);
   }
+  const std::optional<sat::SolverOptions> preset =
+      sat::FindSolverPreset(solver);
+  if (!preset.has_value()) return fail("unknown solver preset: " + solver);
+  flow::RoutingSessionOptions session_options;
+  session_options.encoding = *spec;
+  session_options.heuristic = *heuristic;
+  session_options.solver = *preset;
   session_options.timeout_seconds = options_.timeout_seconds;
   session_options.run_label = client;
 
@@ -487,13 +476,10 @@ std::vector<analysis::CoherenceSample> RoutingService::SampleCoherence(
     sample.hit_count = entry.hits;
 
     flow::DetailedRouteOptions route_options;
+    // Only keys whose strategy names resolved are ever inserted.
     route_options.encoding = encode::GetEncoding(entry.key.encoding);
-    symmetry::Heuristic heuristic = symmetry::Heuristic::kNone;
-    ParseSymmetry(entry.key.symmetry, &heuristic);
-    route_options.heuristic = heuristic;
-    sat::SolverOptions preset;
-    ParseSolverPreset(entry.key.solver, &preset);
-    route_options.solver = preset;
+    route_options.heuristic = symmetry::HeuristicFromName(entry.key.symmetry);
+    route_options.solver = sat::FindSolverPreset(entry.key.solver).value();
     route_options.timeout_seconds = options_.timeout_seconds;
     route_options.run_label = "coherence:" + entry.key.ToString();
     const flow::DetailedRouteResult fresh = flow::RouteDetailedOnGraph(
@@ -501,8 +487,8 @@ std::vector<analysis::CoherenceSample> RoutingService::SampleCoherence(
     sample.fresh_verdict = sat::ToString(fresh.status);
     if (entry.value->status == sat::SolveResult::kSat) {
       sample.tracks_checked = true;
-      sample.tracks_valid =
-          entry.value->graph->IsProperColoring(entry.value->tracks);
+      sample.tracks_valid = flow::ValidateColoring(
+          *entry.value->graph, entry.value->tracks, entry.key.width);
     }
     samples.push_back(std::move(sample));
   }

@@ -89,7 +89,7 @@ struct Response {
   double apply_seconds = 0.0;
   bool verdict_hit = false;  // answered by the verdict cache
   bool cancelled = false;
-  bool ok = true;             // false: malformed request / session error
+  bool ok = true;  // false: malformed request, session or runner error
   std::string error;
 };
 
@@ -137,11 +137,13 @@ class RoutingService {
   /// Opens (or replaces) `client`'s session: encodes `graph` once at
   /// `max_width` into a resident solver, synchronously on the calling
   /// thread; subsequent ops run on the session's pinned worker. False
-  /// (with *error) when session construction failed.
+  /// (with *error) when session construction failed. `solver` names the
+  /// CDCL preset (sat::FindSolverPreset).
   bool OpenSession(const std::string& client,
                    std::shared_ptr<const graph::Graph> graph, int max_width,
                    const std::string& encoding, const std::string& symmetry,
-                   std::string* error = nullptr);
+                   std::string* error = nullptr,
+                   const std::string& solver = "siege");
   bool HasSession(const std::string& client) const;
   void CloseSession(const std::string& client);
 

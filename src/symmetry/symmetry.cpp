@@ -18,10 +18,17 @@ const char* ToString(Heuristic heuristic) {
   return "?";
 }
 
-Heuristic HeuristicFromName(const std::string& name) {
+std::optional<Heuristic> FindHeuristic(std::string_view name) {
   if (name == "none" || name == "-") return Heuristic::kNone;
   if (name == "b1") return Heuristic::kB1;
   if (name == "s1") return Heuristic::kS1;
+  return std::nullopt;
+}
+
+Heuristic HeuristicFromName(const std::string& name) {
+  if (const std::optional<Heuristic> heuristic = FindHeuristic(name)) {
+    return *heuristic;
+  }
   std::fprintf(stderr, "satfr: unknown symmetry heuristic '%s'\n",
                name.c_str());
   std::abort();

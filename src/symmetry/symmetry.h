@@ -14,7 +14,9 @@
 //    degree order, same tie-break.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/graph.h"
@@ -25,7 +27,10 @@ enum class Heuristic { kNone, kB1, kS1 };
 
 const char* ToString(Heuristic heuristic);
 
-/// Parses "none"/"-", "b1", "s1" (used by CLI tools); aborts on other input.
+/// Looks a heuristic up by name: "none"/"-", "b1", "s1".
+std::optional<Heuristic> FindHeuristic(std::string_view name);
+
+/// Like FindHeuristic but aborts with a clear message on an unknown name.
 Heuristic HeuristicFromName(const std::string& name);
 
 /// Ordered vertex sequence v_1..v_m (m <= K-1) to restrict. Empty for

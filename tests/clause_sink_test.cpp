@@ -136,102 +136,6 @@ TEST(CountingSinkTest, HistogramCountsLengths) {
   EXPECT_EQ(sink.NumClausesOfSize(100), 0u);
 }
 
-TEST(SimplifyingSinkTest, RemovesDuplicateLiterals) {
-  Cnf cnf;
-  CnfCollectorSink collect(cnf);
-  SimplifyingSink sink(collect);
-  sink.EnsureVars(2);
-  const Lit lits[3] = {Lit::Pos(0), Lit::Pos(1), Lit::Pos(0)};
-  sink.EmitClause(lits, 3);
-  EXPECT_TRUE(sink.Finish());
-  ASSERT_EQ(cnf.num_clauses(), 1u);
-  EXPECT_EQ(cnf.clauses()[0], (Clause{Lit::Pos(0), Lit::Pos(1)}));
-  EXPECT_EQ(sink.stats().eliminated_literals, 1u);
-}
-
-TEST(SimplifyingSinkTest, DropsTautologies) {
-  Cnf cnf;
-  CnfCollectorSink collect(cnf);
-  SimplifyingSink sink(collect);
-  sink.EnsureVars(2);
-  sink.EmitBinary(Lit::Pos(0), Lit::Neg(0));
-  EXPECT_TRUE(sink.Finish());
-  EXPECT_EQ(cnf.num_clauses(), 0u);
-  EXPECT_EQ(sink.stats().dropped_tautologies, 1u);
-  // The sink's own counters still see the emission (Table 1 counts are
-  // pre-simplification).
-  EXPECT_EQ(sink.num_clauses(), 1u);
-}
-
-TEST(SimplifyingSinkTest, UnitFixesVariableAndFiltersLaterClauses) {
-  Cnf cnf;
-  CnfCollectorSink collect(cnf);
-  SimplifyingSink sink(collect);
-  sink.EnsureVars(3);
-  sink.EmitUnit(Lit::Pos(0));                    // fixes x0 = true
-  sink.EmitBinary(Lit::Pos(0), Lit::Pos(1));     // satisfied -> dropped
-  sink.EmitBinary(Lit::Neg(0), Lit::Pos(2));     // strengthened to (x2)
-  EXPECT_TRUE(sink.Finish());
-  ASSERT_EQ(cnf.num_clauses(), 2u);
-  EXPECT_EQ(cnf.clauses()[0], (Clause{Lit::Pos(0)}));
-  EXPECT_EQ(cnf.clauses()[1], (Clause{Lit::Pos(2)}));
-  EXPECT_EQ(sink.stats().dropped_satisfied, 1u);
-  EXPECT_EQ(sink.stats().eliminated_literals, 1u);
-  // Both the original unit and the strengthened-to-unit fixed a variable.
-  EXPECT_EQ(sink.stats().fixed_units, 2u);
-}
-
-TEST(SimplifyingSinkTest, ContradictionForwardsEmptyClause) {
-  Cnf cnf;
-  CnfCollectorSink collect(cnf);
-  SimplifyingSink sink(collect);
-  sink.EnsureVars(1);
-  sink.EmitUnit(Lit::Pos(0));
-  sink.EmitUnit(Lit::Neg(0));  // strengthened to the empty clause
-  EXPECT_FALSE(sink.Finish());
-  EXPECT_TRUE(sink.contradiction());
-  ASSERT_EQ(cnf.num_clauses(), 2u);
-  EXPECT_TRUE(cnf.clauses()[1].empty());
-}
-
-TEST(SimplifyingSinkTest, SatisfiedClauseWithComplementaryFixedPair) {
-  // x0 fixed false; a later (x0 | ~x0 | x1) contains a complementary pair
-  // on a fixed variable: it must count as satisfied (~x0 is true), not as
-  // a tautology.
-  Cnf cnf;
-  CnfCollectorSink collect(cnf);
-  SimplifyingSink sink(collect);
-  sink.EnsureVars(2);
-  sink.EmitUnit(Lit::Neg(0));
-  sink.EmitTernary(Lit::Pos(0), Lit::Neg(0), Lit::Pos(1));
-  EXPECT_TRUE(sink.Finish());
-  EXPECT_EQ(cnf.num_clauses(), 1u);
-  EXPECT_EQ(sink.stats().dropped_satisfied, 1u);
-  EXPECT_EQ(sink.stats().dropped_tautologies, 0u);
-}
-
-TEST(SimplifyingSinkTest, PreservesSatisfiabilityOnRandomCnfs) {
-  Rng rng(99);
-  for (int i = 0; i < 20; ++i) {
-    const Cnf original = testutil::RandomCnf(rng, 8, 30, 3);
-
-    Solver plain;
-    plain.AddCnf(original);
-    const SolveResult expected =
-        plain.okay() ? plain.Solve() : SolveResult::kUnsat;
-
-    Solver simplified_solver;
-    SolverSink down(simplified_solver);
-    SimplifyingSink sink(down);
-    sink.EnsureVars(original.num_vars());
-    for (const Clause& clause : original.clauses()) sink.EmitClause(clause);
-    const SolveResult got =
-        sink.Finish() && simplified_solver.okay() ? simplified_solver.Solve()
-                                                  : SolveResult::kUnsat;
-    EXPECT_EQ(got, expected) << "iteration " << i;
-  }
-}
-
 }  // namespace
 }  // namespace satfr::sat
 

@@ -2,10 +2,13 @@
 // validated track assignment, across encodings and solver presets.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "encode/registry.h"
 #include "flow/conflict_graph.h"
 #include "graph/coloring_bounds.h"
 #include "flow/detailed_router.h"
+#include "flow/min_width.h"
 #include "flow/track_checker.h"
 #include "netlist/mcnc_suite.h"
 #include "route/global_router.h"
@@ -140,74 +143,105 @@ TEST(DetailedRouterTest, BothSolverPresetsAgree) {
   }
 }
 
-TEST(DetailedRouterTest, UnsatProofVerifies) {
+// The formula is teed into a collected Cnf only for selfcheck and proof
+// checking; the solver must see the same stream, and so reach the same
+// verdict on the same formula size, as on the plain streamed path.
+TEST(DetailedRouterTest, TeedSelfcheckAndProofPathsMatchPlainPath) {
   const RoutedBenchmark& rb = Tiny();
   ASSERT_GE(rb.peak, 2);
-  DetailedRouteOptions options;
-  options.verify_unsat_proof = true;
-  const DetailedRouteResult result =
-      RouteDetailed(rb.arch, rb.routing, rb.peak - 1, options);
-  ASSERT_EQ(result.status, sat::SolveResult::kUnsat);
-  EXPECT_TRUE(result.proof_verified);
-}
-
-TEST(DetailedRouterTest, ProofFieldsUntouchedWithoutFlag) {
-  const RoutedBenchmark& rb = Tiny();
-  const DetailedRouteResult result =
-      RouteDetailed(rb.arch, rb.routing, rb.peak - 1);
-  EXPECT_FALSE(result.proof_verified);
-  EXPECT_EQ(result.proof_clauses, 0u);
-}
-
-TEST(DetailedRouterTest, DefaultPathStreamsEncoderIntoSolver) {
-  const RoutedBenchmark& rb = Tiny();
-  const DetailedRouteResult result =
-      RouteDetailed(rb.arch, rb.routing, rb.peak + 1);
-  EXPECT_NE(result.status, sat::SolveResult::kUnknown);
-  EXPECT_TRUE(result.streamed_encode);
-  EXPECT_EQ(result.encode_stats.TotalEmitted(), result.cnf_clauses);
-}
-
-TEST(DetailedRouterTest, SelfcheckAndProofVerificationMaterialize) {
-  const RoutedBenchmark& rb = Tiny();
-  DetailedRouteOptions options;
-  options.selfcheck = true;
-  const DetailedRouteResult checked =
-      RouteDetailed(rb.arch, rb.routing, rb.peak + 1, options);
-  EXPECT_NE(checked.status, sat::SolveResult::kUnknown);
-  EXPECT_FALSE(checked.streamed_encode);
-
-  ASSERT_GE(rb.peak, 2);
-  DetailedRouteOptions proof_options;
-  proof_options.verify_unsat_proof = true;
-  const DetailedRouteResult proved =
-      RouteDetailed(rb.arch, rb.routing, rb.peak - 1, proof_options);
-  ASSERT_EQ(proved.status, sat::SolveResult::kUnsat);
-  EXPECT_FALSE(proved.streamed_encode);
-}
-
-TEST(DetailedRouterTest, InlineSimplifyAgreesWithPlainStreaming) {
-  const RoutedBenchmark& rb = Tiny();
   const graph::Graph conflict = BuildConflictGraph(rb.arch, rb.routing);
-  const int width = graph::NumColorsUsed(graph::DsaturColoring(conflict));
-  DetailedRouteOptions options;
-  options.inline_simplify = true;
-  const DetailedRouteResult sat_result =
-      RouteDetailed(rb.arch, rb.routing, width, options);
-  EXPECT_EQ(sat_result.status, sat::SolveResult::kSat);
-  EXPECT_TRUE(sat_result.streamed_encode);
-  std::string error;
-  EXPECT_TRUE(ValidateTrackAssignment(rb.arch, rb.routing, sat_result.tracks,
-                                      width, &error))
-      << error;
-  // Reported clause counts stay pre-simplification (Table 1 invariant).
-  EXPECT_EQ(sat_result.encode_stats.TotalEmitted(), sat_result.cnf_clauses);
+  const int routable_width =
+      graph::NumColorsUsed(graph::DsaturColoring(conflict));
+  for (const std::string& name : encode::EvaluatedEncodingNames()) {
+    for (const symmetry::Heuristic h :
+         {symmetry::Heuristic::kNone, symmetry::Heuristic::kB1,
+          symmetry::Heuristic::kS1}) {
+      for (const int width : {rb.peak - 1, routable_width}) {
+        const std::string where = name + "/" + symmetry::ToString(h) +
+                                  " W=" + std::to_string(width);
+        DetailedRouteOptions options;
+        options.encoding = encode::GetEncoding(name);
+        options.heuristic = h;
+        const DetailedRouteResult plain =
+            RouteDetailed(rb.arch, rb.routing, width, options);
+        ASSERT_NE(plain.status, sat::SolveResult::kUnknown) << where;
+        EXPECT_EQ(plain.status, width == rb.peak - 1
+                                    ? sat::SolveResult::kUnsat
+                                    : sat::SolveResult::kSat)
+            << where;
+        EXPECT_EQ(plain.encode_stats.TotalEmitted(), plain.cnf_clauses);
+        EXPECT_FALSE(plain.proof_verified) << where;
+        EXPECT_EQ(plain.proof_clauses, 0u) << where;
 
-  if (rb.peak >= 2) {
-    const DetailedRouteResult unsat_result =
-        RouteDetailed(rb.arch, rb.routing, rb.peak - 1, options);
-    EXPECT_EQ(unsat_result.status, sat::SolveResult::kUnsat);
+        DetailedRouteOptions selfcheck = options;
+        selfcheck.selfcheck = true;
+        DetailedRouteOptions proof = options;
+        proof.verify_unsat_proof = true;
+        for (const DetailedRouteOptions& teed : {selfcheck, proof}) {
+          const DetailedRouteResult result =
+              RouteDetailed(rb.arch, rb.routing, width, teed);
+          EXPECT_EQ(result.status, plain.status) << where;
+          EXPECT_EQ(result.cnf_vars, plain.cnf_vars) << where;
+          EXPECT_EQ(result.cnf_clauses, plain.cnf_clauses) << where;
+          EXPECT_TRUE(result.error.empty()) << where << ": " << result.error;
+          if (teed.verify_unsat_proof &&
+              result.status == sat::SolveResult::kUnsat) {
+            EXPECT_TRUE(result.proof_verified) << where;
+          }
+        }
+      }
+    }
   }
+}
+
+// Cube mode is a selectable path of the same runner: same verdicts as the
+// monolithic solver around W*, and its SAT tracks pass the track checker.
+TEST(DetailedRouterTest, CubePoolAgreesWithMonolithicAroundMinWidth) {
+  for (const char* name : {"alu2", "too_large", "C880", "apex7"}) {
+    const RoutedBenchmark rb(name);
+    const graph::Graph conflict = BuildConflictGraph(rb.arch, rb.routing);
+    DetailedRouteOptions options;
+    options.encoding = encode::GetEncoding("ITE-linear-2+muldirect");
+    options.heuristic = symmetry::Heuristic::kS1;
+    MinWidthOptions search;
+    search.route = options;
+    const int min_width =
+        FindMinimumWidthOnGraph(conflict, rb.peak, search).min_width;
+    ASSERT_GT(min_width, 1) << name;
+    DetailedRouteOptions cube = options;
+    cube.cube_workers = 2;
+    for (const int width : {min_width - 1, min_width}) {
+      const DetailedRouteResult mono =
+          RouteDetailedOnGraph(conflict, width, options);
+      const DetailedRouteResult pool =
+          RouteDetailedOnGraph(conflict, width, cube);
+      EXPECT_EQ(mono.status, width == min_width ? sat::SolveResult::kSat
+                                                : sat::SolveResult::kUnsat)
+          << name << " W=" << width;
+      EXPECT_EQ(pool.status, mono.status) << name << " W=" << width;
+      EXPECT_TRUE(pool.error.empty()) << pool.error;
+      EXPECT_EQ(pool.cnf_vars, mono.cnf_vars) << name;
+      EXPECT_EQ(pool.cnf_clauses, mono.cnf_clauses) << name;
+      if (pool.status == sat::SolveResult::kSat) {
+        std::string error;
+        EXPECT_TRUE(ValidateTrackAssignment(rb.arch, rb.routing, pool.tracks,
+                                            width, &error))
+            << name << ": " << error;
+      }
+    }
+  }
+}
+
+TEST(DetailedRouterTest, CubePathRejectsSelfcheckAndProof) {
+  const RoutedBenchmark& rb = Tiny();
+  DetailedRouteOptions options;
+  options.cube_workers = 2;
+  options.selfcheck = true;
+  const DetailedRouteResult result =
+      RouteDetailed(rb.arch, rb.routing, rb.peak + 1, options);
+  EXPECT_EQ(result.status, sat::SolveResult::kUnknown);
+  EXPECT_FALSE(result.error.empty());
+  EXPECT_TRUE(result.tracks.empty());
 }
 
 TEST(DetailedRouterTest, ZeroTimeoutMeansUnlimited) {

@@ -69,7 +69,7 @@ TEST(MinWidthTest, CubeModeMatchesExactChromaticNumber) {
     const graph::Graph g = testutil::RandomGraph(rng, 12, 0.35);
     const int chi = graph::ChromaticNumberExact(g);
     MinWidthOptions options;
-    options.cube_workers = 2;
+    options.route.cube_workers = 2;
     const MinWidthResult result = FindMinimumWidthOnGraph(g, 1, options);
     EXPECT_EQ(result.min_width, chi) << "iteration " << i;
     EXPECT_TRUE(result.proven_optimal);

@@ -524,7 +524,13 @@ TEST(RoutingService, SessionOpWithoutSessionSettlesAsError) {
 TEST(RoutingService, SessionSolveWidthZeroUsesMaxWidth) {
   RoutingService svc;
   const auto g = std::make_shared<const graph::Graph>(Triangle());
-  ASSERT_TRUE(svc.OpenSession("c", g, /*max_width=*/3, "muldirect", "none"));
+  std::string error;
+  EXPECT_FALSE(svc.OpenSession("c", g, /*max_width=*/3, "muldirect", "none",
+                               &error, "bogus"));
+  EXPECT_NE(error.find("unknown solver preset"), std::string::npos) << error;
+  ASSERT_TRUE(svc.OpenSession("c", g, /*max_width=*/3, "muldirect", "none",
+                              &error, "minisat"))
+      << error;
   const Response& r = svc.Wait(svc.SubmitSessionSolve("c", 0));
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.status, sat::SolveResult::kSat);

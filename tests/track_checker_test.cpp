@@ -61,5 +61,20 @@ TEST(TrackCheckerTest, NonOverlappingRoutesAnyTracks) {
   EXPECT_TRUE(ValidateTrackAssignment(arch, routing, {0, 0}, 1));
 }
 
+// The graph-level check every SAT answer of RouteDetailedOnGraph passes.
+TEST(TrackCheckerTest, ValidateColoringCatchesEveryCorruption) {
+  graph::Graph path(3);
+  path.AddEdge(0, 1);
+  path.AddEdge(1, 2);
+  std::string error;
+  EXPECT_TRUE(ValidateColoring(path, {0, 1, 0}, 2, &error)) << error;
+  EXPECT_FALSE(ValidateColoring(path, {0, 1}, 2, &error));  // too short
+  EXPECT_FALSE(ValidateColoring(path, {0, 1, 0, 1}, 2, &error));  // too long
+  EXPECT_FALSE(ValidateColoring(path, {0, 2, 0}, 2, &error));  // >= W
+  EXPECT_FALSE(ValidateColoring(path, {0, -1, 0}, 2, &error));  // < 0
+  EXPECT_FALSE(ValidateColoring(path, {0, 0, 1}, 2, &error));  // clash
+  EXPECT_NE(error.find("share a track"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace satfr::flow

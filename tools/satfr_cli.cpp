@@ -27,7 +27,8 @@
 // Common options:
 //   --encoding NAME   (default ITE-linear-2+muldirect)
 //   --sym b1|s1|none  (default s1)
-//   --solver siege|minisat|walksat  (default siege; walksat: SAT-only)
+//   --solver siege|minisat|walksat  (default siege; walksat: `solve` only)
+//                     an unknown --encoding/--sym/--solver name exits 2
 //   --timeout SECONDS (default 300)
 //   --width N
 //   --selfcheck       run the satlint pipeline over every encoded CNF
@@ -35,9 +36,9 @@
 //   --dimacs-out FILE (export only) stream the CNF to FILE instead of the
 //                     default <benchmark>_w<W>.cnf; the formula goes to
 //                     disk clause by clause and is never held in memory
-//   --cube            (prove/route/route-file) cube-and-conquer: split each
-//                     width into cubes solved by a worker pool with a
-//                     lock-free clause exchange
+//   --cube            (prove/route/route-file/color) cube-and-conquer: split
+//                     each width into cubes solved by a worker pool with a
+//                     lock-free clause exchange (not with --selfcheck)
 //   --workers N       (with --cube) worker-pool size (default 4)
 //   --cubes N         (with --cube) cube-count target per width (default 256)
 //   --deterministic   (with --cube) pin cube order, disable stealing and
@@ -65,9 +66,11 @@
 //   solve <client> [width]              solve the client's session state
 //   wait                                barrier: settle everything queued
 //                                       so far and print the results
-// Routing queries are submitted asynchronously — everything between two
-// `wait` lines runs as one batch on the worker pool. The run ends with a
-// throughput/latency summary and the verdict-cache counters.
+// Routes and sessions use --encoding/--sym/--solver unless a route's k=v
+// tokens override them. Routing queries are submitted asynchronously —
+// everything between two `wait` lines runs as one batch on the worker
+// pool. The run ends with a throughput/latency summary and the
+// verdict-cache counters.
 //
 // Telemetry (all commands; each is independent and off by default):
 //   --trace-out FILE  write a Chrome trace_event JSON timeline (open in
@@ -93,7 +96,6 @@
 
 #include "analysis/runner.h"
 #include "common/stopwatch.h"
-#include "cube/cube_solver.h"
 #include "encode/registry.h"
 #include "flow/conflict_graph.h"
 #include "flow/detailed_router.h"
@@ -111,6 +113,7 @@
 #include "route/routing_io.h"
 #include "sat/clause_sink.h"
 #include "sat/dimacs.h"
+#include "sat/solver.h"
 #include "sat/walksat.h"
 #include "service/routing_service.h"
 
@@ -198,18 +201,47 @@ CliOptions ParseArgs(int argc, char** argv) {
       opts.positional.push_back(arg);
     }
   }
+  // Every strategy name is resolved here, once, so commands can look them
+  // up without a failure path.
+  auto reject = [](const std::string& message) {
+    std::fprintf(stderr, "%s\n", message.c_str());
+    std::exit(2);
+  };
+  if (!encode::FindEncoding(opts.encoding)) {
+    reject("unknown encoding '" + opts.encoding + "'");
+  }
+  if (!symmetry::FindHeuristic(opts.sym)) {
+    reject("unknown symmetry heuristic '" + opts.sym + "'");
+  }
+  if (opts.solver == "walksat") {
+    if (std::strcmp(argv[1], "solve") != 0) {
+      reject("--solver walksat is only accepted by 'solve'");
+    }
+  } else if (!sat::FindSolverPreset(opts.solver)) {
+    reject("unknown solver '" + opts.solver + "'");
+  }
+  if (opts.cube && opts.selfcheck) {
+    reject("--selfcheck needs the monolithic solver; drop --cube");
+  }
   return opts;
+}
+
+sat::SolverOptions SolverPreset(const CliOptions& opts) {
+  return sat::FindSolverPreset(opts.solver).value();
 }
 
 flow::DetailedRouteOptions ToRouteOptions(const CliOptions& opts) {
   flow::DetailedRouteOptions route;
   route.encoding = encode::GetEncoding(opts.encoding);
   route.heuristic = symmetry::HeuristicFromName(opts.sym);
-  route.solver = opts.solver == "minisat"
-                     ? sat::SolverOptions::MiniSatLike()
-                     : sat::SolverOptions::SiegeLike();
+  route.solver = SolverPreset(opts);
   route.timeout_seconds = opts.timeout;
   route.selfcheck = opts.selfcheck;
+  if (opts.cube) {
+    route.cube_workers = std::max(1, opts.workers);
+    route.cube_target_cubes = std::max(1, opts.cubes);
+    route.cube_deterministic = opts.deterministic;
+  }
   if (!opts.positional.empty()) route.run_label = opts.positional[0];
   return route;
 }
@@ -267,13 +299,6 @@ class TelemetrySession {
   std::unique_ptr<obs::RunReportWriter> report_;
 };
 
-void ApplyCubeOptions(const CliOptions& opts, flow::MinWidthOptions* mw) {
-  if (!opts.cube) return;
-  mw->cube_workers = std::max(1, opts.workers);
-  mw->cube_target_cubes = std::max(1, opts.cubes);
-  mw->cube_deterministic = opts.deterministic;
-}
-
 /// Prints selfcheck findings; true if any is error-severity (fail fast).
 bool ReportLint(const flow::DetailedRouteResult& result) {
   bool errors = false;
@@ -288,6 +313,14 @@ bool ReportLint(const flow::DetailedRouteResult& result) {
                  "selfcheck found error-severity findings; not solving\n");
   }
   return errors;
+}
+
+/// Prints a run's internal failure (an unchecked answer never leaves the
+/// runner); true if there was one.
+bool ReportError(const std::string& error) {
+  if (error.empty()) return false;
+  std::printf("INTERNAL ERROR: %s\n", error.c_str());
+  return true;
 }
 
 struct LoadedBenchmark {
@@ -335,10 +368,10 @@ int CmdProve(const CliOptions& opts) {
   const LoadedBenchmark loaded = LoadBenchmark(opts.positional[0]);
   flow::MinWidthOptions mw;
   mw.route = ToRouteOptions(opts);
-  ApplyCubeOptions(opts, &mw);
   const flow::MinWidthResult result =
       flow::FindMinimumWidthOnGraph(loaded.conflict, loaded.peak, mw);
   if (ReportLint(result.routable) || ReportLint(result.unroutable)) return 1;
+  if (ReportError(result.error)) return 1;
   if (result.min_width < 0) {
     std::printf("TIMEOUT before establishing W*\n");
     return 1;
@@ -378,64 +411,6 @@ void PrintSolverDetail(const sat::SolverStats& s) {
   }
 }
 
-// Routes one fixed width through the cube-and-conquer pool and prints the
-// pool-specific statistics (the monolithic path prints solver detail
-// instead; a pool's merged counters aggregate CPU across workers).
-int CmdRouteCube(const CliOptions& opts, const LoadedBenchmark& loaded) {
-  cube::CubeSolveOptions cube_options;
-  cube_options.pool.num_workers = std::max(1, opts.workers);
-  cube_options.pool.deterministic = opts.deterministic;
-  cube_options.gen.target_cubes = std::max(1, opts.cubes);
-  cube_options.solver = opts.solver == "minisat"
-                            ? sat::SolverOptions::MiniSatLike()
-                            : sat::SolverOptions::SiegeLike();
-  cube_options.timeout_seconds = opts.timeout;
-  if (!opts.positional.empty()) cube_options.run_label = opts.positional[0];
-  const cube::CubeSolveResult result = cube::SolveColoringWithCubes(
-      loaded.conflict, opts.width, encode::GetEncoding(opts.encoding),
-      symmetry::HeuristicFromName(opts.sym), cube_options);
-  if (!result.error.empty()) {
-    std::printf("INTERNAL ERROR: %s\n", result.error.c_str());
-    return 1;
-  }
-  std::printf("%s in %.3fs (%zu cubes: %zu resolved, %zu stolen, "
-              "%zu+%zu pruned)\n",
-              sat::ToString(result.status), result.wall_seconds,
-              result.num_cubes, result.cubes_resolved, result.cubes_stolen,
-              result.pruned_conflict, result.pruned_symmetry);
-  std::printf("pool: %llu conflicts, %llu propagations\n",
-              static_cast<unsigned long long>(result.solver_stats.conflicts),
-              static_cast<unsigned long long>(
-                  result.solver_stats.propagations));
-  // Exchange health: exported/imported are the useful flow; dropped-full
-  // and torn-read discards climbing toward `exported` mean the ring is
-  // undersized (or readers are too slow) and sharing is mostly wasted work.
-  const sat::ClauseExchange::Totals& ex = result.exchange_totals;
-  std::printf("exchange: %llu exported, %llu imported, %llu dropped-full, "
-              "%llu torn-read discarded\n",
-              static_cast<unsigned long long>(ex.published),
-              static_cast<unsigned long long>(ex.collected),
-              static_cast<unsigned long long>(ex.evicted +
-                                              ex.oversize_dropped),
-              static_cast<unsigned long long>(ex.torn_reads));
-  for (std::size_t w = 0; w < result.worker_loads.size(); ++w) {
-    const cube::CubeWorkerPool::WorkerLoad& load = result.worker_loads[w];
-    std::printf("worker %zu: %.3fs busy, %zu cube(s), %zu steal(s)\n", w,
-                load.busy_seconds, load.cubes, load.steals);
-  }
-  if (result.status == sat::SolveResult::kSat) {
-    std::string error;
-    if (!flow::ValidateTrackAssignment(loaded.arch, loaded.routing,
-                                       result.colors, opts.width, &error)) {
-      std::printf("INTERNAL ERROR: %s\n", error.c_str());
-      return 1;
-    }
-    std::printf("track assignment validated (winning cube %d).\n",
-                result.winning_cube);
-  }
-  return result.status == sat::SolveResult::kUnknown ? 1 : 0;
-}
-
 int CmdReplay(const CliOptions& opts);
 
 int CmdRoute(const CliOptions& opts) {
@@ -448,10 +423,9 @@ int CmdRoute(const CliOptions& opts) {
   }
   if (opts.width < 1) Usage();
   const LoadedBenchmark loaded = LoadBenchmark(opts.positional[0]);
-  if (opts.cube) return CmdRouteCube(opts, loaded);
   const auto result = flow::RouteDetailedOnGraph(loaded.conflict, opts.width,
                                                  ToRouteOptions(opts));
-  if (ReportLint(result)) return 1;
+  if (ReportLint(result) || ReportError(result.error)) return 1;
   std::printf("%s in %.3fs (%d vars, %zu clauses, %llu conflicts)\n",
               sat::ToString(result.status), result.TotalSeconds(),
               result.cnf_vars, result.cnf_clauses,
@@ -534,9 +508,7 @@ int CmdSolve(const CliOptions& opts) {
                 static_cast<unsigned long long>(walksat.stats().flips));
     return result == sat::SolveResult::kUnknown ? 1 : 0;
   }
-  sat::Solver solver(opts.solver == "minisat"
-                         ? sat::SolverOptions::MiniSatLike()
-                         : sat::SolverOptions::SiegeLike());
+  sat::Solver solver(SolverPreset(opts));
   sat::SolveResult result = sat::SolveResult::kUnsat;
   if (solver.AddCnf(*cnf)) result = solver.Solve(deadline);
   std::printf("%s (%llu conflicts, %llu decisions)\n",
@@ -559,27 +531,14 @@ int CmdColor(const CliOptions& opts) {
     std::fprintf(stderr, "cannot parse '%s'\n", opts.positional[0].c_str());
     return 2;
   }
-  const auto sequence = symmetry::SymmetrySequence(
-      *g, opts.width, symmetry::HeuristicFromName(opts.sym));
-  const auto enc = encode::EncodeColoring(
-      *g, opts.width, encode::GetEncoding(opts.encoding), sequence);
-  sat::Solver solver(sat::SolverOptions::SiegeLike());
-  sat::SolveResult result = sat::SolveResult::kUnsat;
-  if (solver.AddCnf(enc.cnf)) {
-    result = solver.Solve(Deadline::After(opts.timeout));
+  const flow::DetailedRouteResult result =
+      flow::RouteDetailedOnGraph(*g, opts.width, ToRouteOptions(opts));
+  if (ReportLint(result) || ReportError(result.error)) return 1;
+  std::printf("%d-coloring: %s\n", opts.width, sat::ToString(result.status));
+  for (std::size_t v = 0; v < result.tracks.size(); ++v) {
+    std::printf("v%zu %d\n", v + 1, result.tracks[v]);
   }
-  std::printf("%d-coloring: %s\n", opts.width, sat::ToString(result));
-  if (result == sat::SolveResult::kSat) {
-    const auto colors = encode::DecodeColoring(enc, solver.model());
-    if (!g->IsProperColoring(colors)) {
-      std::printf("INTERNAL ERROR: improper coloring decoded\n");
-      return 1;
-    }
-    for (std::size_t v = 0; v < colors.size(); ++v) {
-      std::printf("v%zu %d\n", v + 1, colors[v]);
-    }
-  }
-  return result == sat::SolveResult::kUnknown ? 1 : 0;
+  return result.status == sat::SolveResult::kUnknown ? 1 : 0;
 }
 
 int CmdRouteFile(const CliOptions& opts) {
@@ -633,15 +592,15 @@ int CmdRouteFile(const CliOptions& opts) {
   if (opts.width > 0) {
     const auto result = flow::RouteDetailedOnGraph(conflict, opts.width,
                                                    ToRouteOptions(opts));
-    if (ReportLint(result)) return 1;
+    if (ReportLint(result) || ReportError(result.error)) return 1;
     std::printf("W=%d: %s in %.3fs\n", opts.width,
                 sat::ToString(result.status), result.TotalSeconds());
     return result.status == sat::SolveResult::kUnknown ? 1 : 0;
   }
   flow::MinWidthOptions mw;
   mw.route = ToRouteOptions(opts);
-  ApplyCubeOptions(opts, &mw);
   const auto result = flow::FindMinimumWidthOnGraph(conflict, peak, mw);
+  if (ReportError(result.error)) return 1;
   if (result.min_width < 0) {
     std::printf("TIMEOUT before establishing W*\n");
     return 1;
@@ -692,9 +651,7 @@ int CmdReplay(const CliOptions& opts) {
   flow::RoutingSessionOptions session_options;
   session_options.encoding = encode::GetEncoding(opts.encoding);
   session_options.heuristic = symmetry::HeuristicFromName(opts.sym);
-  session_options.solver = opts.solver == "minisat"
-                               ? sat::SolverOptions::MiniSatLike()
-                               : sat::SolverOptions::SiegeLike();
+  session_options.solver = SolverPreset(opts);
   session_options.timeout_seconds = opts.timeout;
   session_options.run_label = name;
 
@@ -869,8 +826,8 @@ int CmdServe(const CliOptions& opts) {
       request.label = bench;
       request.graph = graph_for(bench);
       request.width = width;
-      request.encoding = "muldirect";
-      request.symmetry = opts.sym == "s1" ? "s1" : opts.sym;
+      request.encoding = opts.encoding;
+      request.symmetry = opts.sym;
       request.solver = opts.solver;
       for (std::string kv; in >> kv;) {
         const std::size_t eq = kv.find('=');
@@ -904,8 +861,8 @@ int CmdServe(const CliOptions& opts) {
       in >> requested;  // optional; keeps --width (or the peak) when absent
       const int max_width = SessionMaxWidth(*g, peaks[bench], requested);
       std::string error;
-      if (!svc.OpenSession(client, g, max_width, "muldirect", "none",
-                           &error)) {
+      if (!svc.OpenSession(client, g, max_width, opts.encoding, opts.sym,
+                           &error, opts.solver)) {
         return trace_error("session '" + client + "': " + error);
       }
       std::printf("session %s: %s at max width %d\n", client.c_str(),

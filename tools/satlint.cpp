@@ -185,8 +185,15 @@ int LintEncodings(const graph::Graph& g, int width, const LintOptions& opts,
                   const route::GlobalRouting* routing) {
   const std::vector<std::string> names = SelectedEncodings(opts.encoding);
   const analysis::AnalysisRunner runner = MakeRunner(opts);
-  const std::vector<graph::VertexId> sequence = symmetry::SymmetrySequence(
-      g, width, symmetry::HeuristicFromName(opts.sym));
+  const std::optional<symmetry::Heuristic> heuristic =
+      symmetry::FindHeuristic(opts.sym);
+  if (!heuristic) {
+    std::fprintf(stderr, "unknown symmetry heuristic '%s'\n",
+                 opts.sym.c_str());
+    return 2;
+  }
+  const std::vector<graph::VertexId> sequence =
+      symmetry::SymmetrySequence(g, width, *heuristic);
   int status = 0;
   for (const std::string& name : names) {
     const auto spec = encode::FindEncoding(name);
