@@ -115,7 +115,8 @@ LevelEncoding IteLinearEncoder::Encode(int count) const {
   return enc;
 }
 
-std::vector<Cube> IteLinearEncoder::ReducedCubes(int count, int reduced) const {
+std::vector<Cube> IteLinearEncoder::ReducedCubes([[maybe_unused]] int count,
+                                                int reduced) const {
   assert(reduced >= 1 && reduced <= count);
   const auto tree = BuildLinearIteTree(reduced);
   return TreeCubes(*tree, reduced);
@@ -131,7 +132,8 @@ LevelEncoding IteLogEncoder::Encode(int count) const {
   return enc;
 }
 
-std::vector<Cube> IteLogEncoder::ReducedCubes(int count, int reduced) const {
+std::vector<Cube> IteLogEncoder::ReducedCubes([[maybe_unused]] int count,
+                                             int reduced) const {
   assert(reduced >= 1 && reduced <= count);
   const auto tree = BuildBalancedIteTree(reduced);
   return TreeCubes(*tree, reduced);

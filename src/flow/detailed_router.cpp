@@ -22,6 +22,19 @@ const char* RunLabel(const DetailedRouteOptions& options) {
   return options.run_label.empty() ? "graph" : options.run_label.c_str();
 }
 
+/// Every kSat leaves the runner through this check, in every build type; a
+/// failed check turns the answer into kUnknown with `error` set.
+void CheckColoring(const graph::Graph& conflict_graph, int num_tracks,
+                   DetailedRouteResult* result) {
+  std::string error;
+  if (result->status == sat::SolveResult::kSat &&
+      !ValidateColoring(conflict_graph, result->tracks, num_tracks, &error)) {
+    result->status = sat::SolveResult::kUnknown;
+    result->tracks.clear();
+    result->error = "SAT model failed the track check: " + error;
+  }
+}
+
 /// One width on one fresh solver. `routing` is non-null only when the
 /// caller extracted the conflict graph from a global routing itself; the
 /// selfcheck's flow-two-pin pass then cross-checks the two.
@@ -120,6 +133,17 @@ DetailedRouteResult SolveMonolithic(const graph::Graph& conflict_graph,
   solve_span.AddArg("verdict", obs::JsonValue(sat::ToString(result.status)));
   solve_span.End();
 
+  if (result.status == sat::SolveResult::kSat) {
+    result.tracks = encode::DecodeColoring(encoded, solver.model());
+    CheckColoring(conflict_graph, num_tracks, &result);
+  } else if (result.status == sat::SolveResult::kUnsat &&
+             options.verify_unsat_proof) {
+    result.proof_clauses = proof.size();
+    result.proof_verified = sat::VerifyRupRefutation(encoded.cnf, proof);
+  }
+
+  // Written from the checked result: a model the check rejected is
+  // recorded as UNKNOWN, not SAT.
   if (report != nullptr) {
     obs::RunRecord record;
     record.instance = RunLabel(options);
@@ -143,14 +167,6 @@ DetailedRouteResult SolveMonolithic(const graph::Graph& conflict_graph,
     record.peak_clause_memory_bytes = solver.ClauseMemoryBytes();
     if (observer.has_value()) observer->FillRecord(&record);
     report->Append(record);
-  }
-
-  if (result.status == sat::SolveResult::kSat) {
-    result.tracks = encode::DecodeColoring(encoded, solver.model());
-  } else if (result.status == sat::SolveResult::kUnsat &&
-             options.verify_unsat_proof) {
-    result.proof_clauses = proof.size();
-    result.proof_verified = sat::VerifyRupRefutation(encoded.cnf, proof);
   }
   return result;
 }
@@ -188,12 +204,11 @@ DetailedRouteResult SolveWithCubes(const graph::Graph& conflict_graph,
   result.encode_stats = cube_result.encode_stats;
   result.solver_stats = cube_result.solver_stats;
   result.error = std::move(cube_result.error);
+  CheckColoring(conflict_graph, num_tracks, &result);
   return result;
 }
 
-/// Encode -> solve -> decode -> check for one width. Every kSat leaves
-/// through the coloring check, in every build type; a failed check turns
-/// the answer into kUnknown with `error` set.
+/// Encode -> solve -> decode -> check for one width.
 DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
                                  int num_tracks,
                                  const DetailedRouteOptions& options,
@@ -207,14 +222,6 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
   static const obs::MetricId solves =
       obs::GlobalMetrics().Counter("flow.solves");
   obs::GlobalMetrics().Add(solves);
-
-  std::string error;
-  if (result.status == sat::SolveResult::kSat &&
-      !ValidateColoring(conflict_graph, result.tracks, num_tracks, &error)) {
-    result.status = sat::SolveResult::kUnknown;
-    result.tracks.clear();
-    result.error = "SAT model failed the track check: " + error;
-  }
   return result;
 }
 

@@ -1,10 +1,7 @@
 #include "service/routing_service.h"
 
-#include <chrono>
-#include <thread>
 #include <utility>
 
-#include "common/rng.h"
 #include "encode/registry.h"
 #include "flow/track_checker.h"
 #include "symmetry/symmetry.h"
@@ -16,10 +13,6 @@ std::uint64_t Micros(double seconds) {
   return seconds <= 0.0 ? 0
                         : static_cast<std::uint64_t>(seconds * 1e6 + 0.5);
 }
-
-// Wait-side nap between settle-state polls (the scheduler's Wait does the
-// heavy blocking; this only covers the claim->publish window).
-constexpr auto kSettleNap = std::chrono::microseconds(100);
 
 }  // namespace
 
@@ -37,20 +30,25 @@ RoutingService::RoutingService(const ServiceOptions& options)
   id_apply_us_ = m.Histogram("service.apply_us");
 }
 
-RoutingService::~RoutingService() = default;
+RoutingService::~RoutingService() {
+  // The pool is the last member, so it joins after this body: a running
+  // solve (or a pump working through its queue) must see the flag first.
+  mc::MutexLock lock(pending_mutex_);
+  for (Pending& pending : pending_) {
+    pending.stop.store(true, std::memory_order_relaxed);
+  }
+}
 
 obs::MetricsRegistry& RoutingService::metrics() const {
   return options_.metrics != nullptr ? *options_.metrics
                                      : obs::GlobalMetrics();
 }
 
-RoutingService::Ticket RoutingService::NewTicket(RequestKind kind,
-                                                 bool is_session_op) {
+RoutingService::Ticket RoutingService::NewTicket(RequestKind kind) {
   mc::MutexLock lock(pending_mutex_);
   const std::uint64_t id = pending_.size();
   pending_.emplace_back();
   pending_.back().response.kind = kind;
-  pending_.back().is_session_op = is_session_op;
   return Ticket{id};
 }
 
@@ -70,7 +68,17 @@ bool RoutingService::ClaimSettle(Pending& pending) {
 void RoutingService::PublishSettle(Pending& pending) {
   pending.response.latency_seconds = pending.submitted.Seconds();
   metrics().Observe(id_latency_us_, Micros(pending.response.latency_seconds));
+  mc::MutexLock lock(pending_mutex_);
   pending.state.store(2, std::memory_order_release);
+  settled_cv_.notify_all();
+}
+
+void RoutingService::SettleCancelled(Pending& pending) {
+  pending.response.cancelled = true;
+  pending.response.ok = false;
+  pending.response.status = sat::SolveResult::kUnknown;
+  pending.response.error = "cancelled before execution";
+  PublishSettle(pending);
 }
 
 RoutingService::Ticket RoutingService::Submit(RouteRequest request) {
@@ -79,14 +87,14 @@ RoutingService::Ticket RoutingService::Submit(RouteRequest request) {
   }
   stat_requests_.fetch_add(1, std::memory_order_relaxed);
   metrics().Add(id_requests_);
-  const Ticket ticket = NewTicket(RequestKind::kRoute, false);
+  const Ticket ticket = NewTicket(RequestKind::kRoute);
   Pending* pending = PendingRef(ticket.id);
-  auto shared = std::make_shared<RouteRequest>(std::move(request));
-  pending->handle = scheduler_.Submit(
-      [this, shared, pending](const mc::Atomic<bool>& cancel) {
-        ExecuteRoute(*shared, *pending, cancel);
+  const int priority = request.priority;
+  scheduler_.Submit(
+      [this, request = std::move(request), pending] {
+        ExecuteRoute(request, *pending);
       },
-      shared->priority);
+      priority);
   return ticket;
 }
 
@@ -109,19 +117,9 @@ const Response& RoutingService::Wait(Ticket ticket) {
   }();
   Pending* pending = PendingRef(ticket.id);
   if (pending == nullptr) return kInvalid;
-  if (!pending->is_session_op) {
-    const JobStatus status = scheduler_.Wait(pending->handle);
-    if (status == JobStatus::kCancelled && ClaimSettle(*pending)) {
-      // Cancelled before any worker picked it up (Cancel or shutdown).
-      pending->response.cancelled = true;
-      pending->response.ok = false;
-      pending->response.status = sat::SolveResult::kUnknown;
-      pending->response.error = "cancelled before execution";
-      PublishSettle(*pending);
-    }
-  }
+  mc::MutexLock lock(pending_mutex_);
   while (pending->state.load(std::memory_order_acquire) != 2) {
-    std::this_thread::sleep_for(kSettleNap);
+    settled_cv_.wait(pending_mutex_);
   }
   return pending->response;
 }
@@ -129,51 +127,21 @@ const Response& RoutingService::Wait(Ticket ticket) {
 bool RoutingService::Cancel(Ticket ticket) {
   Pending* pending = PendingRef(ticket.id);
   if (pending == nullptr) return false;
-  pending->cancel_requested.store(true, std::memory_order_release);
-  if (pending->is_session_op) {
-    // The pump observes the flag when it reaches the op.
-    return pending->state.load(std::memory_order_acquire) == 0;
-  }
-  // Scheduler-side: either the job never runs (true) or its stop flag is
-  // now set and the in-flight solver aborts cooperatively (false).
-  if (scheduler_.Cancel(pending->handle)) {
-    if (ClaimSettle(*pending)) {
-      pending->response.cancelled = true;
-      pending->response.ok = false;
-      pending->response.status = sat::SolveResult::kUnknown;
-      pending->response.error = "cancelled before execution";
-      PublishSettle(*pending);
-    }
-    return true;
-  }
-  return false;
+  // The flag first: if the claim below loses to the job starting, the
+  // running solve still sees the stop request.
+  pending->stop.store(true, std::memory_order_release);
+  if (!ClaimSettle(*pending)) return false;
+  SettleCancelled(*pending);
+  return true;
 }
 
-void RoutingService::Drain() {
-  scheduler_.WaitIdle();
-  // Settle route tickets whose job was cancelled before running and never
-  // waited on (their response would otherwise stay unpublished).
-  std::size_t count;
-  {
-    mc::MutexLock lock(pending_mutex_);
-    count = pending_.size();
-  }
-  for (std::uint64_t id = 0; id < count; ++id) {
-    Pending* pending = PendingRef(id);
-    if (pending->is_session_op) continue;
-    if (scheduler_.StatusOf(pending->handle) == JobStatus::kCancelled &&
-        ClaimSettle(*pending)) {
-      pending->response.cancelled = true;
-      pending->response.ok = false;
-      pending->response.error = "cancelled before execution";
-      PublishSettle(*pending);
-    }
-  }
-}
+// A cancelled ticket is settled by Cancel itself, so once the pool is idle
+// every ticket is settled.
+void RoutingService::Drain() { scheduler_.WaitIdle(); }
 
 void RoutingService::ExecuteRoute(const RouteRequest& request,
-                                  Pending& pending,
-                                  const mc::Atomic<bool>& cancel) {
+                                  Pending& pending) {
+  if (!ClaimSettle(pending)) return;  // cancelled before it started
   Response& r = pending.response;
   obs::MetricsRegistry& m = metrics();
   m.Observe(id_queue_us_, Micros(pending.submitted.Seconds()));
@@ -223,7 +191,7 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
     route_options.timeout_seconds = request.timeout_seconds >= 0.0
                                         ? request.timeout_seconds
                                         : options_.timeout_seconds;
-    route_options.stop = &cancel;
+    route_options.stop = &pending.stop;
     route_options.run_label = request.label;
     const flow::DetailedRouteResult result =
         flow::RouteDetailedOnGraph(*request.graph, request.width,
@@ -235,7 +203,7 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
     r.solve_seconds = result.solve_seconds;
     r.encode_seconds = result.encode_seconds;
     r.cancelled = result.status == sat::SolveResult::kUnknown &&
-                  cancel.load(std::memory_order_relaxed);
+                  pending.stop.load(std::memory_order_relaxed);
     m.Observe(id_solve_us_, Micros(result.solve_seconds));
 
     // kUnknown (timeout / cancel) is a fact about the budget, not the
@@ -252,7 +220,7 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
       verdicts_.Insert(verdict_key, entry, bytes);
     }
   } while (false);
-  if (ClaimSettle(pending)) PublishSettle(pending);
+  PublishSettle(pending);
 }
 
 // --- sessions -------------------------------------------------------------
@@ -288,9 +256,6 @@ bool RoutingService::OpenSession(const std::string& client,
 
   auto session = std::make_shared<Session>();
   session->graph = graph;
-  session->affinity = static_cast<int>(
-      StableHash64(client) %
-      static_cast<std::uint64_t>(scheduler_.num_workers()));
   session->session = std::make_unique<flow::RoutingSession>(
       *graph, max_width, session_options);
   if (!session->session->ok()) return fail(session->session->error());
@@ -343,7 +308,7 @@ RoutingService::Ticket RoutingService::SubmitSessionOp(
     const std::string& client, SessionOp op) {
   stat_session_ops_.fetch_add(1, std::memory_order_relaxed);
   metrics().Add(id_session_ops_);
-  const Ticket ticket = NewTicket(op.kind, /*is_session_op=*/true);
+  const Ticket ticket = NewTicket(op.kind);
   Pending* pending = PendingRef(ticket.id);
   std::shared_ptr<Session> session;
   {
@@ -370,9 +335,8 @@ RoutingService::Ticket RoutingService::SubmitSessionOp(
   if (need_pump) {
     // Deltas outrank fresh routes (priority 1 > default 0): a client
     // blocked on a microsecond apply should not sit behind cold solves.
-    scheduler_.Submit(
-        [this, session](const mc::Atomic<bool>&) { PumpSession(session); },
-        /*priority=*/1, session->affinity);
+    scheduler_.Submit([this, session] { PumpSession(session); },
+                      /*priority=*/1);
   }
   return ticket;
 }
@@ -403,11 +367,8 @@ void RoutingService::ExecuteSessionOp(Session& session, const SessionOp& op) {
   Response& r = pending->response;
   obs::MetricsRegistry& m = metrics();
   m.Observe(id_queue_us_, Micros(pending->submitted.Seconds()));
-  if (pending->cancel_requested.load(std::memory_order_acquire)) {
-    r.cancelled = true;
-    r.ok = false;
-    r.error = "cancelled before execution";
-    PublishSettle(*pending);
+  if (pending->stop.load(std::memory_order_acquire)) {
+    SettleCancelled(*pending);
     return;
   }
   flow::RoutingSession& routing_session = *session.session;

@@ -12,19 +12,23 @@
 //
 // Every solve goes through flow::RouteDetailedOnGraph, so the service
 // inherits the flow's telemetry (trace spans, run records, flow.solves)
-// and its timeout/stop handling; the scheduler's per-job cancel atomic IS
-// the solver stop flag.
+// and its timeout/stop handling; the ticket's stop flag IS the solver stop
+// flag.
+//
+// Every request gets a ticket, and every ticket is settled exactly once:
+// the party that claims it (the job that starts it, or a Cancel that comes
+// first) writes the response, and Wait blocks on a condition variable
+// until it is published.
 //
 // Sessions: a client that opens a session gets a resident
-// flow::RoutingSession pinned to worker hash(client) % workers. Session
-// ops (rip-up / re-route / solve) are FIFO per client — they enter a
-// per-session queue drained by a "pump" job submitted with the session's
-// affinity, so deltas apply in order on warm state and never migrate
-// between workers mid-stream. kUnknown answers (timeout / cancel) are
-// never cached.
+// flow::RoutingSession. Session ops (rip-up / re-route / solve) are FIFO
+// per client — they enter a per-session queue drained by one "pump" job at
+// a time, submitted at priority 1 so deltas run before any queued cold
+// route. kUnknown answers (timeout / cancel) are never cached.
 #ifndef SATFR_SERVICE_ROUTING_SERVICE_H_
 #define SATFR_SERVICE_ROUTING_SERVICE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -113,7 +117,8 @@ class RoutingService {
   };
 
   explicit RoutingService(const ServiceOptions& options = {});
-  /// Drains in-flight work (pending jobs are cancelled by the scheduler).
+  /// Raises every ticket's stop flag, so running solves abort at their
+  /// next check; jobs still queued are dropped.
   ~RoutingService();
 
   RoutingService(const RoutingService&) = delete;
@@ -127,8 +132,9 @@ class RoutingService {
 
   /// Blocks until the ticket's work finished (or was cancelled).
   const Response& Wait(Ticket ticket);
-  /// Cancels: a queued request never solves; a running one gets its stop
-  /// flag (the solver aborts at its next check and reports kUnknown).
+  /// Cancels: a queued request never runs and is settled as cancelled
+  /// here (true); a running one gets its stop flag (false: the solver
+  /// aborts at its next check and reports kUnknown).
   bool Cancel(Ticket ticket);
   /// Blocks until every submitted ticket is settled.
   void Drain();
@@ -136,9 +142,9 @@ class RoutingService {
   // --- sessions -----------------------------------------------------------
   /// Opens (or replaces) `client`'s session: encodes `graph` once at
   /// `max_width` into a resident solver, synchronously on the calling
-  /// thread; subsequent ops run on the session's pinned worker. False
-  /// (with *error) when session construction failed. `solver` names the
-  /// CDCL preset (sat::FindSolverPreset).
+  /// thread; subsequent ops run on the pool. False (with *error) when
+  /// session construction failed. `solver` names the CDCL preset
+  /// (sat::FindSolverPreset).
   bool OpenSession(const std::string& client,
                    std::shared_ptr<const graph::Graph> graph, int max_width,
                    const std::string& encoding, const std::string& symmetry,
@@ -148,7 +154,7 @@ class RoutingService {
   void CloseSession(const std::string& client);
 
   /// FIFO per client: ops apply in submission order on the resident
-  /// session, on the session's pinned worker.
+  /// session.
   Ticket SubmitRipUp(const std::string& client, graph::VertexId net);
   Ticket SubmitReroute(const std::string& client, graph::VertexId net,
                        std::vector<graph::VertexId> conflicts);
@@ -186,7 +192,6 @@ class RoutingService {
   struct Session {
     std::unique_ptr<flow::RoutingSession> session;
     std::shared_ptr<const graph::Graph> graph;
-    int affinity = 0;
     mc::Mutex mutex;
     std::deque<SessionOp> queue SATFR_GUARDED_BY(mutex);
     bool pump_scheduled SATFR_GUARDED_BY(mutex) = false;
@@ -194,29 +199,31 @@ class RoutingService {
 
   struct Pending {
     Response response;
-    JobScheduler::Handle handle;
     Stopwatch submitted;
-    // 0 = in flight, 1 = claimed (a settler is filling the response),
-    // 2 = settled (response immutable). The claim CAS makes exactly one
-    // party — the executing worker, a pump, or a successful Cancel — the
-    // response writer, and Wait only reads at state 2.
+    // 0 = queued, 1 = claimed (a settler is filling the response),
+    // 2 = settled (response immutable; stored under pending_mutex_). The
+    // claim CAS makes exactly one party — the job that starts the work or
+    // a Cancel that comes first — the response writer, and Wait only reads
+    // at state 2.
     mc::Atomic<int> state{0};
-    mc::Atomic<bool> cancel_requested{false};
-    bool is_session_op = false;
+    // Raised by Cancel and ~RoutingService; a route solve polls it, and a
+    // session op that sees it when it starts settles as cancelled.
+    mc::Atomic<bool> stop{false};
   };
 
   obs::MetricsRegistry& metrics() const;
-  Ticket NewTicket(RequestKind kind, bool is_session_op);
+  Ticket NewTicket(RequestKind kind);
   Pending* PendingRef(std::uint64_t id) const;
   /// True for exactly one caller per ticket: that caller may write the
   /// response and must follow with PublishSettle.
   bool ClaimSettle(Pending& pending);
   /// Records latency metrics and makes the response visible to Wait.
   void PublishSettle(Pending& pending);
+  /// Claimed ticket whose work never ran: settle it as cancelled.
+  void SettleCancelled(Pending& pending);
   Ticket SubmitSessionOp(const std::string& client, SessionOp op);
   void PumpSession(const std::shared_ptr<Session>& session);
-  void ExecuteRoute(const RouteRequest& request, Pending& pending,
-                    const mc::Atomic<bool>& cancel);
+  void ExecuteRoute(const RouteRequest& request, Pending& pending);
   void ExecuteSessionOp(Session& session, const SessionOp& op);
 
   const ServiceOptions options_;
@@ -225,6 +232,8 @@ class RoutingService {
   mutable mc::Mutex pending_mutex_;
   // deque: append-only; workers hold Pending* across later submissions.
   std::deque<Pending> pending_ SATFR_GUARDED_BY(pending_mutex_);
+  // Wait sleeps here, under pending_mutex_, until its ticket is settled.
+  std::condition_variable_any settled_cv_;
 
   mutable mc::Mutex sessions_mutex_;
   std::unordered_map<std::string, std::shared_ptr<Session>> sessions_

@@ -1,6 +1,6 @@
 // Thread-sanitizer stress for the service concurrency surfaces: the
 // sharded LRU cache under concurrent lookup/insert/erase with bounds tight
-// enough to force constant eviction, the scheduler under concurrent
+// enough to force constant eviction, tickets under concurrent
 // submit/cancel churn, and the service front door under concurrent
 // clients. Invariants checked are conservation laws (stats
 // balance, exactly-once execution) — the interesting failures here are the
@@ -11,16 +11,25 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "graph/graph.h"
+#include "obs/metrics.h"
 #include "service/cache.h"
 #include "service/routing_service.h"
-#include "service/scheduler.h"
 
 namespace satfr::service {
 namespace {
+
+graph::Graph Triangle() {
+  graph::Graph g(3);
+  g.AddEdge(0, 1);
+  g.AddEdge(1, 2);
+  g.AddEdge(0, 2);
+  return g;
+}
 
 CacheKey KeyFor(int i) {
   return CacheKey{static_cast<std::uint64_t>(i) * 7919u, i % 5, "e", "s", ""};
@@ -49,7 +58,9 @@ TEST(ServiceStress, ShardedCacheSurvivesConcurrentChurn) {
           case 2: {
             const std::shared_ptr<const int> v = cache.Lookup(KeyFor(k));
             // Eviction must never invalidate a handed-out value.
-            if (v != nullptr) EXPECT_EQ(*v, k);
+            if (v != nullptr) {
+              EXPECT_EQ(*v, k);
+            }
             break;
           }
           case 3:
@@ -68,44 +79,85 @@ TEST(ServiceStress, ShardedCacheSurvivesConcurrentChurn) {
   EXPECT_LE(stats.evictions, stats.insertions);
 }
 
-TEST(ServiceStress, SchedulerSubmitCancelChurnConservesJobs) {
-  SchedulerOptions options;
-  options.num_workers = 3;
-  options.deque_capacity = 16;  // small: exercises the inbox backlog path
-  JobScheduler scheduler(options);
+TEST(ServiceStress, SubmitCancelChurnSettlesEveryTicketOnce) {
+  // Submitters race routes and session ops against Cancel on a 3-worker
+  // pool and never Wait; Drain alone must leave every ticket settled.
+  obs::MetricsRegistry metrics;
+  ServiceOptions options;
+  options.scheduler.num_workers = 3;
+  options.metrics = &metrics;
+  RoutingService svc(options);
+  const auto g = std::make_shared<const graph::Graph>(Triangle());
   constexpr int kSubmitters = 3;
-  constexpr int kJobsPerSubmitter = 400;
+  constexpr int kTicketsPerSubmitter = 200;
+  for (int t = 0; t < kSubmitters; ++t) {
+    ASSERT_TRUE(svc.OpenSession("client" + std::to_string(t), g, 3,
+                                "muldirect", "none"));
+  }
 
-  std::atomic<std::uint64_t> executed{0};
-  std::atomic<std::uint64_t> cancel_wins{0};
+  struct Submitted {
+    RoutingService::Ticket ticket;
+    bool route = false;
+    int width = 0;
+    bool cancel_won = false;
+  };
+  std::vector<std::vector<Submitted>> per_thread(kSubmitters);
   std::vector<std::thread> submitters;
   for (int t = 0; t < kSubmitters; ++t) {
-    submitters.emplace_back([&, t] {
-      for (int i = 0; i < kJobsPerSubmitter; ++i) {
-        const auto handle = scheduler.Submit(
-            [&executed](const mc::Atomic<bool>&) {
-              executed.fetch_add(1, std::memory_order_relaxed);
-            },
-            /*priority=*/i % 3,
-            /*affinity=*/i % 4 == 0 ? t : -1);
-        // Every third job gets a racing cancel: either it never runs (the
-        // cancel won) or it runs exactly once.
-        if (i % 3 == 0 && scheduler.Cancel(handle)) {
-          cancel_wins.fetch_add(1, std::memory_order_relaxed);
+    submitters.emplace_back([&svc, &g, &per_thread, t] {
+      const std::string client = "client" + std::to_string(t);
+      for (int i = 0; i < kTicketsPerSubmitter; ++i) {
+        Submitted s;
+        s.route = i % 2 == 0;
+        s.width = 2 + (i / 2) % 2;
+        if (s.route) {
+          RouteRequest request;
+          request.label = "churn";
+          request.graph = g;
+          request.width = s.width;
+          request.encoding = "muldirect";
+          request.symmetry = "none";
+          request.priority = i % 3;
+          s.ticket = svc.Submit(std::move(request));
+        } else {
+          s.ticket = svc.SubmitSessionSolve(client, s.width);
         }
+        // Every third ticket gets a racing cancel: either it wins and
+        // settles the ticket, or the work runs exactly once.
+        if (i % 3 == 0) s.cancel_won = svc.Cancel(s.ticket);
+        per_thread[static_cast<std::size_t>(t)].push_back(s);
       }
     });
   }
   for (std::thread& thread : submitters) thread.join();
-  scheduler.WaitIdle();
+  svc.Drain();
 
+  // PublishSettle observes each ticket's latency exactly once, so the
+  // histogram counts settles; no Wait has run yet.
   constexpr std::uint64_t kTotal =
-      static_cast<std::uint64_t>(kSubmitters) * kJobsPerSubmitter;
-  EXPECT_EQ(executed.load() + cancel_wins.load(), kTotal);
-  const SchedulerStats stats = scheduler.stats();
-  EXPECT_EQ(stats.submitted, kTotal);
-  EXPECT_EQ(stats.completed, executed.load());
-  EXPECT_EQ(stats.cancelled, cancel_wins.load());
+      static_cast<std::uint64_t>(kSubmitters) * kTicketsPerSubmitter;
+  EXPECT_EQ(metrics.Snapshot().Find("service.latency_us")->count, kTotal);
+
+  std::uint64_t cancel_wins = 0;
+  std::uint64_t cancelled = 0;
+  for (const std::vector<Submitted>& submitted : per_thread) {
+    for (const Submitted& s : submitted) {
+      const Response& r = svc.Wait(s.ticket);
+      cancel_wins += s.cancel_won;
+      cancelled += r.cancelled;
+      if (s.cancel_won) {
+        EXPECT_TRUE(r.cancelled);
+      }
+      if (r.cancelled) continue;
+      EXPECT_TRUE(r.ok) << r.error;
+      EXPECT_EQ(r.status, s.width >= 3 ? sat::SolveResult::kSat
+                                       : sat::SolveResult::kUnsat);
+    }
+  }
+  EXPECT_GE(cancelled, cancel_wins);
+  EXPECT_EQ(metrics.Snapshot().Find("service.latency_us")->count, kTotal);
+  const SchedulerStats stats = svc.stats().scheduler;
+  EXPECT_EQ(stats.completed, stats.submitted);
 }
 
 TEST(ServiceStress, ServiceFrontDoorUnderConcurrentClients) {
@@ -116,11 +168,7 @@ TEST(ServiceStress, ServiceFrontDoorUnderConcurrentClients) {
   options.verdict_cache = CacheTierOptions{2, 2, 1u << 20};
   RoutingService svc(options);
 
-  graph::Graph triangle(3);
-  triangle.AddEdge(0, 1);
-  triangle.AddEdge(1, 2);
-  triangle.AddEdge(0, 2);
-  const auto g = std::make_shared<const graph::Graph>(triangle);
+  const auto g = std::make_shared<const graph::Graph>(Triangle());
 
   std::vector<std::thread> clients;
   std::atomic<int> failures{0};

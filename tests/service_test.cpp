@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -18,6 +19,7 @@
 #include "common/rng.h"
 #include "flow/detailed_router.h"
 #include "graph/graph.h"
+#include "obs/metrics.h"
 #include "service/cache.h"
 #include "service/routing_service.h"
 #include "service/scheduler.h"
@@ -228,95 +230,82 @@ TEST(JobScheduler, RunsEveryJobExactlyOnce) {
   options.num_workers = 2;
   JobScheduler scheduler(options);
   std::atomic<int> ran{0};
-  std::vector<JobScheduler::Handle> handles;
   for (int i = 0; i < 64; ++i) {
-    handles.push_back(scheduler.Submit(
-        [&ran](const mc::Atomic<bool>&) { ran.fetch_add(1); }));
+    scheduler.Submit([&ran] { ran.fetch_add(1); });
   }
   scheduler.WaitIdle();
   EXPECT_EQ(ran.load(), 64);
-  for (const auto& handle : handles) {
-    EXPECT_EQ(scheduler.StatusOf(handle), JobStatus::kDone);
-  }
   const SchedulerStats stats = scheduler.stats();
   EXPECT_EQ(stats.submitted, 64u);
   EXPECT_EQ(stats.completed, 64u);
-  EXPECT_EQ(stats.cancelled, 0u);
+  EXPECT_EQ(stats.steals, 0u);
 }
+
+// Holds one worker each until released; `started` counts the holders.
+struct Blocker {
+  std::atomic<int>* started;
+  std::atomic<bool> release{false};
+  void operator()() {
+    started->fetch_add(1);
+    while (!release.load()) std::this_thread::yield();
+  }
+};
+
+struct OrderLog {
+  std::mutex mutex;
+  std::vector<int> order;
+  std::function<void()> Record(int tag) {
+    return [this, tag] {
+      std::lock_guard<std::mutex> lock(mutex);
+      order.push_back(tag);
+    };
+  }
+  std::size_t size() {
+    std::lock_guard<std::mutex> lock(mutex);
+    return order.size();
+  }
+};
 
 TEST(JobScheduler, HigherPriorityRunsFirstOnOneWorker) {
   SchedulerOptions options;
   options.num_workers = 1;
   JobScheduler scheduler(options);
-
-  // Hold the single worker on a blocker so the next three jobs are drained
-  // from the inbox together, then released in priority order. The worker
-  // must be inside the blocker before they arrive; otherwise it can drain
-  // the blocker and the first of them in one batch.
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  const auto blocker =
-      scheduler.Submit([&started, &release](const mc::Atomic<bool>&) {
-        started.store(true);
-        while (!release.load()) std::this_thread::yield();
-      });
-  while (!started.load()) std::this_thread::yield();
-  std::mutex order_mutex;
-  std::vector<int> order;
-  auto record = [&](int tag) {
-    return [&order_mutex, &order, tag](const mc::Atomic<bool>&) {
-      std::lock_guard<std::mutex> lock(order_mutex);
-      order.push_back(tag);
-    };
-  };
-  scheduler.Submit(record(0), /*priority=*/0);
-  scheduler.Submit(record(9), /*priority=*/9);
-  scheduler.Submit(record(5), /*priority=*/5);
-  release.store(true);
-  scheduler.Wait(blocker);
+  std::atomic<int> started{0};
+  Blocker blocker{&started};
+  scheduler.Submit([&blocker] { blocker(); });
+  while (started.load() < 1) std::this_thread::yield();
+  OrderLog log;
+  scheduler.Submit(log.Record(0), /*priority=*/0);
+  scheduler.Submit(log.Record(9), /*priority=*/9);
+  scheduler.Submit(log.Record(5), /*priority=*/5);
+  blocker.release.store(true);
   scheduler.WaitIdle();
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 9);
-  EXPECT_EQ(order[1], 5);
-  EXPECT_EQ(order[2], 0);
+  EXPECT_EQ(log.order, (std::vector<int>{9, 5, 0}));
 }
 
-TEST(JobScheduler, CancelBeforeRunMeansNeverRuns) {
+TEST(JobScheduler, PriorityOrdersTheWholePool) {
+  // Both workers are held, so all three jobs are queued when one frees
+  // up: that worker must take the pool's highest priority, whichever
+  // worker the job would have been assigned to by submission order.
   SchedulerOptions options;
-  options.num_workers = 1;
+  options.num_workers = 2;
   JobScheduler scheduler(options);
-  std::atomic<bool> release{false};
-  const auto blocker =
-      scheduler.Submit([&release](const mc::Atomic<bool>&) {
-        while (!release.load()) std::this_thread::yield();
-      });
-  std::atomic<bool> ran{false};
-  const auto doomed = scheduler.Submit(
-      [&ran](const mc::Atomic<bool>&) { ran.store(true); });
-  EXPECT_TRUE(scheduler.Cancel(doomed));
-  EXPECT_FALSE(scheduler.Cancel(doomed));  // second cancel lost the CAS
-  release.store(true);
-  EXPECT_EQ(scheduler.Wait(doomed), JobStatus::kCancelled);
+  std::atomic<int> started{0};
+  Blocker first{&started};
+  Blocker second{&started};
+  scheduler.Submit([&first] { first(); });
+  scheduler.Submit([&second] { second(); });
+  while (started.load() < 2) std::this_thread::yield();
+  OrderLog log;
+  scheduler.Submit(log.Record(0), /*priority=*/0);
+  scheduler.Submit(log.Record(9), /*priority=*/9);
+  scheduler.Submit(log.Record(5), /*priority=*/5);
+  first.release.store(true);
+  while (log.size() < 1) std::this_thread::yield();
+  second.release.store(true);
   scheduler.WaitIdle();
-  EXPECT_FALSE(ran.load());
-  EXPECT_EQ(scheduler.stats().cancelled, 1u);
-}
-
-TEST(JobScheduler, CancelWhileRunningSetsTheStopFlag) {
-  SchedulerOptions options;
-  options.num_workers = 1;
-  JobScheduler scheduler(options);
-  std::atomic<bool> started{false};
-  const auto handle =
-      scheduler.Submit([&started](const mc::Atomic<bool>& cancel) {
-        started.store(true);
-        while (!cancel.load(std::memory_order_acquire)) {
-          std::this_thread::yield();
-        }
-      });
-  while (!started.load()) std::this_thread::yield();
-  EXPECT_FALSE(scheduler.Cancel(handle));  // too late to prevent the run
-  EXPECT_EQ(scheduler.Wait(handle), JobStatus::kDone);
+  ASSERT_EQ(log.order.size(), 3u);
+  EXPECT_EQ(log.order[0], 9);
 }
 
 // --- routing service end-to-end -------------------------------------------
@@ -473,6 +462,101 @@ TEST(RoutingService, BatchSubmitSettlesEveryTicket) {
   svc.Drain();
 }
 
+// --- cancellation and shutdown -------------------------------------------
+
+// K12 at 11 tracks is the pigeonhole formula PHP(12, 11): without
+// symmetry breaking no CDCL search refutes it within any test budget.
+RouteRequest HardRequest() {
+  graph::Graph clique(12);
+  for (graph::VertexId u = 0; u < 12; ++u) {
+    for (graph::VertexId v = u + 1; v < 12; ++v) clique.AddEdge(u, v);
+  }
+  RouteRequest request;
+  request.label = "k12";
+  request.graph = std::make_shared<const graph::Graph>(std::move(clique));
+  request.width = 11;
+  request.encoding = "muldirect";
+  request.symmetry = "none";
+  request.timeout_seconds = 60.0;  // a broken stop path fails, not hangs
+  return request;
+}
+
+// A route job records its queue wait as soon as it claims its ticket, so
+// the histogram's count is the number of route jobs that have started.
+void WaitUntilStarted(const obs::MetricsRegistry& metrics,
+                      std::uint64_t jobs) {
+  for (;;) {
+    const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+    const obs::MetricSnapshot* queue = snapshot.Find("service.queue_us");
+    if (queue != nullptr && queue->count >= jobs) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(RoutingService, CancelledQueuedRouteNeverSolves) {
+  obs::MetricsRegistry metrics;
+  ServiceOptions options;
+  options.scheduler.num_workers = 1;
+  options.metrics = &metrics;
+  RoutingService svc(options);
+  const auto hard = svc.Submit(HardRequest());
+  WaitUntilStarted(metrics, 1);
+  // The only worker is busy, so this one is still queued.
+  const auto g = std::make_shared<const graph::Graph>(Triangle());
+  const auto queued = svc.Submit(TriangleRequest(g, 3));
+  EXPECT_TRUE(svc.Cancel(queued));
+  EXPECT_FALSE(svc.Cancel(queued));  // already settled
+  const Response& r = svc.Wait(queued);
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.status, sat::SolveResult::kUnknown);
+
+  svc.Cancel(hard);
+  svc.Drain();
+  // Only the hard route ever started, and nothing reached the cache.
+  const obs::MetricsSnapshot snapshot = metrics.Snapshot();
+  EXPECT_EQ(snapshot.Find("service.queue_us")->count, 1u);
+  EXPECT_EQ(svc.stats().verdicts.insertions, 0u);
+}
+
+TEST(RoutingService, CancelStopsARunningSolve) {
+  obs::MetricsRegistry metrics;
+  ServiceOptions options;
+  options.scheduler.num_workers = 1;
+  options.metrics = &metrics;
+  RoutingService svc(options);
+  const auto ticket = svc.Submit(HardRequest());
+  WaitUntilStarted(metrics, 1);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(svc.Cancel(ticket));  // too late to keep it from running
+  const Response& r = svc.Wait(ticket);
+  EXPECT_LT(SecondsSince(start), 10.0);
+  EXPECT_EQ(r.status, sat::SolveResult::kUnknown);
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_EQ(svc.stats().verdicts.insertions, 0u);
+}
+
+TEST(RoutingService, DestructionStopsARunningSolve) {
+  obs::MetricsRegistry metrics;
+  ServiceOptions options;
+  options.scheduler.num_workers = 1;
+  options.metrics = &metrics;
+  auto svc = std::make_unique<RoutingService>(options);
+  svc->Submit(HardRequest());
+  svc->Submit(HardRequest());  // queued behind the first: dropped
+  WaitUntilStarted(metrics, 1);
+  const auto start = std::chrono::steady_clock::now();
+  svc.reset();
+  EXPECT_LT(SecondsSince(start), 10.0);
+  EXPECT_EQ(metrics.Snapshot().Find("service.queue_us")->count, 1u);
+}
+
 // --- sessions --------------------------------------------------------------
 
 TEST(RoutingService, SessionOpsApplyInOrderAndMatchTheGraph) {
@@ -551,7 +635,9 @@ TEST(RoutingService, SampleCoherenceAgreesWithFreshSolves) {
   ASSERT_EQ(samples.size(), 2u);
   for (const analysis::CoherenceSample& sample : samples) {
     EXPECT_EQ(sample.cached_verdict, sample.fresh_verdict) << sample.key;
-    if (sample.tracks_checked) EXPECT_TRUE(sample.tracks_valid);
+    if (sample.tracks_checked) {
+      EXPECT_TRUE(sample.tracks_valid);
+    }
   }
 
   analysis::AnalysisInput input;
@@ -598,7 +684,9 @@ TEST(ServiceCoherencePass, NotApplicableWithoutSamples) {
   const analysis::AnalysisReport report =
       analysis::MakeDefaultRunner().Run(analysis::AnalysisInput{});
   for (const analysis::PassOutcome& outcome : report.outcomes) {
-    if (outcome.pass == "service-cache-coherence") EXPECT_FALSE(outcome.ran);
+    if (outcome.pass == "service-cache-coherence") {
+      EXPECT_FALSE(outcome.ran);
+    }
   }
 }
 
