@@ -48,8 +48,8 @@ void PrintEncoding(const char* encoding_name, bool log_style) {
   std::string profile = "  clause lengths:";
   for (std::size_t len = 0; len < histogram.size(); ++len) {
     if (histogram[len] == 0) continue;
-    profile += " " + std::to_string(histogram[len]) + "x" +
-               std::to_string(len);
+    profile.append(" ").append(std::to_string(histogram[len]));
+    profile.append("x").append(std::to_string(len));
   }
   // Cross-check: the allocation-free CountingSink sees the same stream the
   // collector materialized (Table 1 counts are sink-independent).

@@ -138,7 +138,9 @@ class TablePrinter {
 /// Formats a solve outcome for a table cell: seconds, or ">limit" on
 /// timeout.
 inline std::string TimeCell(double seconds, bool timed_out) {
-  if (timed_out) return ">" + FormatSecondsPaperStyle(seconds);
+  if (timed_out) {
+    return std::string(">").append(FormatSecondsPaperStyle(seconds));
+  }
   return FormatSecondsPaperStyle(seconds);
 }
 

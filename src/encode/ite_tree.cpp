@@ -50,12 +50,12 @@ void Render(const IteTreeNode& node, const std::string& prefix,
   out += prefix;
   out += branch_label;
   if (node.IsLeaf()) {
-    out += "v" + std::to_string(node.leaf_value) + "\n";
+    out.append("v").append(std::to_string(node.leaf_value)).append("\n");
     return;
   }
-  out += "ITE(i" + std::to_string(node.split_var) + ")\n";
-  const std::string child_prefix =
-      prefix + (branch_label.empty() ? "" : "|   ");
+  out.append("ITE(i").append(std::to_string(node.split_var)).append(")\n");
+  std::string child_prefix = prefix;
+  if (!branch_label.empty()) child_prefix.append("|   ");
   Render(*node.then_branch, child_prefix, "+-1-", out);
   Render(*node.else_branch, child_prefix, "+-0-", out);
 }

@@ -16,7 +16,9 @@ struct Fixture {
   GlobalRouting routing;
 
   Fixture() {
-    for (int i = 0; i < 4; ++i) nets.AddBlock("b" + std::to_string(i));
+    for (int i = 0; i < 4; ++i) {
+      nets.AddBlock(std::string("b").append(std::to_string(i)));
+    }
     placement.Place(0, 0, 0);
     placement.Place(1, 2, 0);
     placement.Place(2, 0, 1);

@@ -7,7 +7,9 @@ namespace {
 
 Netlist TwoNetCircuit() {
   Netlist nets;
-  for (int i = 0; i < 4; ++i) nets.AddBlock("b" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) {
+    nets.AddBlock(std::string("b").append(std::to_string(i)));
+  }
   nets.AddNet(Net{"n0", 0, {1, 2}});
   nets.AddNet(Net{"n1", 3, {0}});
   return nets;

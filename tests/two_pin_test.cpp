@@ -10,7 +10,9 @@ namespace {
 
 TEST(TwoPinTest, StarDecomposition) {
   netlist::Netlist nets;
-  for (int i = 0; i < 5; ++i) nets.AddBlock("b" + std::to_string(i));
+  for (int i = 0; i < 5; ++i) {
+    nets.AddBlock(std::string("b").append(std::to_string(i)));
+  }
   nets.AddNet(netlist::Net{"n0", 0, {1, 2, 3}});
   nets.AddNet(netlist::Net{"n1", 4, {0}});
   const auto two_pin = DecomposeToTwoPin(nets);
@@ -28,7 +30,9 @@ TEST(TwoPinTest, StarDecomposition) {
 
 TEST(TwoPinTest, EveryTwoPinKeepsItsParentSource) {
   netlist::Netlist nets;
-  for (int i = 0; i < 6; ++i) nets.AddBlock("b" + std::to_string(i));
+  for (int i = 0; i < 6; ++i) {
+    nets.AddBlock(std::string("b").append(std::to_string(i)));
+  }
   nets.AddNet(netlist::Net{"n0", 2, {0, 5}});
   nets.AddNet(netlist::Net{"n1", 1, {3, 4}});
   const auto two_pin = DecomposeToTwoPin(nets);
@@ -51,7 +55,9 @@ netlist::Placement LinePlacement(const netlist::Netlist& nets, int grid) {
 
 TEST(TwoPinChainTest, WalksNearestNeighborOrder) {
   netlist::Netlist nets;
-  for (int i = 0; i < 4; ++i) nets.AddBlock("b" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) {
+    nets.AddBlock(std::string("b").append(std::to_string(i)));
+  }
   // Blocks placed on a line at x = 0,1,2,3 (y=0). Net from block 0 to
   // sinks {3, 1, 2}: the chain must visit 1, then 2, then 3.
   nets.AddNet(netlist::Net{"n", 0, {3, 1, 2}});
@@ -108,7 +114,9 @@ TEST(TwoPinChainTest, NameRoundTrip) {
 
 TEST(TwoPinTest, CountMatchesConnections) {
   netlist::Netlist nets;
-  for (int i = 0; i < 8; ++i) nets.AddBlock("b" + std::to_string(i));
+  for (int i = 0; i < 8; ++i) {
+    nets.AddBlock(std::string("b").append(std::to_string(i)));
+  }
   nets.AddNet(netlist::Net{"n0", 0, {1, 2, 3, 4, 5, 6, 7}});
   EXPECT_EQ(DecomposeToTwoPin(nets).size(),
             static_cast<std::size_t>(nets.NumTwoPinConnections()));
